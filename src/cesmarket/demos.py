@@ -24,14 +24,14 @@ from .errors import BadParameter, BadRho, DidNotConverge, NotEquilibrium
 from .pricing import demand_residual, make_pricing_rule
 from .solver import (
     Instance,
+    _holder_mean,
+    _scaled_marginals,
     _solve_smooth,
     as_allocation,
     closed_form_single_good,
     grid_oracle,
     kkt_residual,
 )
-
-_HOLDER_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -227,25 +227,16 @@ def exchange_violation_demo(kind: str, rho: float | None = None) -> ViolationRep
 
 
 def _nash_solve(instance: Instance, tolerance: float = 1e-6):
-    """Proportional-fairness optimum, per-good thresholds, agent spends."""
+    """Proportional-fairness optimum, per-good thresholds, agent spends.
+
+    The log program is the exponent-0 program: its scaled marginals are
+    dv_i/dx_ij / v_i.
+    """
     vals = instance.valuations
-    X, _, iters = _solve_smooth(
-        vals, instance.rho, nash=True, tolerance=1e-8, max_iters=100_000,
-        method="ellipsoid",
-    )
-    n, m = X.shape
-    q = np.zeros(m)
-    for j in range(m):
-        cands = []
-        for i, v in enumerate(vals):
-            if X[i, j] > _HOLDER_EPS:
-                g, ok = v.partials(X[i])
-                vi = v.value(X[i])
-                if ok[j] and vi > 0:
-                    cands.append(g[j] / vi)
-        if cands:
-            q[j] = float(np.mean(cands))
-    residual = kkt_residual(vals, instance.rho, X, q, nash=True)
+    X, _, iters = _solve_smooth(vals, 0.0, tolerance=1e-8, max_iters=100_000)
+    M, _ = _scaled_marginals(vals, X, 0.0)
+    q = _holder_mean(M, X)
+    residual = kkt_residual(vals, 0.0, X, q)
     if residual > tolerance:
         raise DidNotConverge(
             f"threshold-pricing residual {residual:.3e} above {tolerance:.1e}"

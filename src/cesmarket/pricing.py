@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, InconsistentMultipliers, NotEquilibrium
-from .solver import Instance, as_allocation, extract_multipliers
+from .solver import (
+    Instance,
+    _stationarity_residual,
+    as_allocation,
+    extract_multipliers,
+)
 from .valuations import Valuation, as_bundle
 
 DEFAULT_TOL = 1e-6
@@ -97,10 +102,11 @@ class Certificate:
         (equality required on held coordinates)
     clearing: worst |1 - sum_i x_ij| over goods with q_j > 0
     payment_ratio: worst |p(x_i) - rho*r*v_i(x_i)|
-    waived: coordinates (i, j) where the agent holds zero, the valuation's
-        partial diverges there, and the price marginal is finite; only the
-        one-sided condition applies and it is vacuous, so the coordinate is
-        excluded and recorded.
+    waived: coordinates (i, j) where the valuation's partial diverges at a
+        zero holding of an agent that holds none of its valued goods, at
+        rho = 1 and degree 1.  The coordinate check is replaced by the
+        agent-level one that no bundle is worth more than it costs, and the
+        coordinate is recorded.
     """
 
     stationarity: float
@@ -156,45 +162,6 @@ def demand_residual(rule: PricingRule, v: Valuation, bundle) -> float:
     return float(res)
 
 
-def _stationarity_residual(instance, X, q, *, weights=None, exponent=None):
-    """Worst violation of [factor * dv_ij <= q_j, equality when x_ij > 0].
-
-    factor is v_i**(exponent-1) (times an agent weight when given); the
-    log-objective path uses weight_i / v_i.  Agents with zero weight impose
-    no conditions.  Returns (residual, waived coordinate list).
-    """
-    rho = instance.rho if exponent is None else exponent
-    n, m = instance.n, instance.m
-    a = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    res = 0.0
-    waived = []
-    for i, v in enumerate(instance.valuations):
-        if a[i] == 0.0:
-            continue
-        g, ok = v.partials(X[i])
-        vi = v.value(X[i])
-        if rho == 1.0:
-            fac = a[i]
-        elif rho == 0.0:
-            fac = a[i] / vi if vi > 0.0 else np.inf
-        else:
-            fac = a[i] * vi ** (rho - 1.0) if vi > 0.0 else np.inf
-        for j in range(m):
-            if not ok[j]:
-                if X[i, j] == 0.0:
-                    waived.append((i, j))
-                    continue
-                return float("inf"), waived
-            if g[j] == 0.0:
-                term = -q[j]  # unvalued good: condition is q_j >= 0
-            elif np.isinf(fac):
-                return float("inf"), waived
-            else:
-                term = fac * g[j] - q[j]
-            res = max(res, abs(term) if X[i, j] > 0.0 else max(term, 0.0))
-    return float(res), waived
-
-
 def we_certificate(
     instance: Instance, allocation, rule: PricingRule, tolerance: float = DEFAULT_TOL
 ) -> Certificate:
@@ -209,7 +176,7 @@ def we_certificate(
     if rule.m != instance.m:
         raise DimensionMismatch("rule and instance cover different goods")
     q = rule.q
-    stat, waived = _stationarity_residual(instance, X, q)
+    stat, waived = _stationarity_residual(instance.valuations, X, q, instance.rho)
 
     priced = q > 0
     clearing = 0.0
@@ -344,6 +311,6 @@ def weighted_shift_certificate(
         )
     weights = instance.values_at(X)
     res, _ = _stationarity_residual(
-        instance, X, q, weights=weights, exponent=rho - 1.0
+        instance.valuations, X, q, rho - 1.0, weights=weights
     )
     return res <= tolerance

@@ -4,13 +4,17 @@ The central program: maximize (1/rho) * sum_i v_i(x_i)**rho over allocations
 x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
 
   - closed_form_single_good: the one-good optimum in closed form
-  - solve_ces: gradient-query ellipsoid phase plus an active-set Newton
-    refinement that drives the first-order residual to certification grade;
-    a projected-gradient fallback is available behind ``method=``
+  - solve_ces: ellipsoid search phase plus an active-set Newton
+    refinement that drives the first-order residual to certification grade
   - extract_multipliers: per-good multipliers read off holder gradients
   - grid_oracle: brute-force simplex-grid enumeration for small instances
-  - solve_leontief: the min-ratio (Leontief) variational program with
-    envelope-based multiplier recovery
+  - solve_leontief: the min-ratio (Leontief) variational program, with
+    supply multipliers taken from the KKT duals of its Newton solve
+
+Every first-order check goes through one kernel, _scaled_marginals: the
+allocation is supported by the convex price rule exactly when each held
+coordinate's scaled marginal v_i**(e-1) * dv_i/dx_ij equals q_j and each
+unheld one is at most q_j.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import ellipsoid_minimize, project_capped_simplex
+from .ellipsoid import ellipsoid_minimize
 from .errors import (
     BadParameter,
     DidNotConverge,
@@ -31,8 +35,8 @@ from .errors import (
     TooLarge,
     UnsupportedValuation,
 )
-from .valuations import Leontief, Valuation
-from .welfare import WelfareParams, ces_objective
+from .valuations import CesForm, CobbDouglas, Leontief, Valuation
+from .welfare import WelfareParams, ces_objective, scaled_gradient
 
 # Values below this are answered with a surrogate objective inside solver
 # iterations; certification never sees floored values.
@@ -41,6 +45,9 @@ _SURROGATE = 1e30
 # Gradients queried by the solver are evaluated at bundles floored here, so
 # divergent boundary partials stay finite during the search.
 _GRAD_POINT_FLOOR = 1e-9
+
+# Agents of one instance must share their homogeneity degree to this tolerance.
+DEGREE_TOL = 1e-9
 
 _HOLDER_EPS = 1e-10       # an agent "holds" a good above this
 _SUPPORT_SEED = 1e-5      # ellipsoid mass above this seeds the Newton support
@@ -69,7 +76,7 @@ class Instance:
             raise BadParameter(f"instance rho must lie in (0, 1], got {self.rho}")
         r0 = vals[0].degree
         for v in vals:
-            if abs(v.degree - r0) > 1e-9:
+            if abs(v.degree - r0) > DEGREE_TOL:
                 raise BadParameter(
                     "agents must share one homogeneity degree; mixed degrees "
                     "admit no common supporting price rule"
@@ -112,7 +119,7 @@ class SolveResult:
 class LeontiefResult:
     allocation: np.ndarray      # (n, m), x_ij = w_ij * alpha_i
     alphas: np.ndarray          # (n,) attained consumption levels
-    multipliers: np.ndarray     # (m,) envelope estimates of supply multipliers
+    multipliers: np.ndarray     # (m,) KKT duals of the supply bounds
     duals: np.ndarray           # (n, m) per-constraint duals, 0 off support
     objective: float
     iterations: int
@@ -167,11 +174,112 @@ def closed_form_single_good(weights, degree: float, rho: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# search phase: ellipsoid / projected gradient over the allocation polytope
+# first-order kernel
 # ---------------------------------------------------------------------------
 
 
-def _floored_query(vals, rho, nash, X):
+def _scaled_marginals(vals, X, e, weights=None):
+    """Scaled marginals a_i * v_i**(e-1) * dv_i/dx_ij over an (n, m) allocation.
+
+    The exponent picks the program: e = rho is the CES program, e = 0 the
+    log (Nash) program because 1/v = v**(0-1), and e = rho - 1 with weights
+    a_i = v_i the weighted-shift check.  Returns (M, div): div marks the
+    partials that diverge at a zero holding, where M is NaN.  A zero value
+    with e < 1 gives an infinite factor, so every positive partial of that
+    row reads +inf while goods the agent does not value keep marginal 0.
+    """
+    n, m = X.shape
+    G = np.empty((n, m))
+    div = np.empty((n, m), dtype=bool)
+    V = np.empty(n)
+    for i, v in enumerate(vals):
+        g, ok = v.partials(X[i])
+        G[i] = np.where(ok, g, np.nan)
+        div[i] = ~ok
+        V[i] = v.value(X[i])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = scaled_gradient(G, V, e, weights)
+    M[G == 0.0] = 0.0
+    return M, div
+
+
+def _holder_mean(M, X, empty=0.0):
+    """Per-good mean of M over the agents holding the good; `empty` if none does."""
+    held = X > _HOLDER_EPS
+    count = held.sum(axis=0)
+    total = np.where(held, M, 0.0).sum(axis=0)
+    return np.where(count > 0, total / np.maximum(count, 1), empty)
+
+
+def _value_per_cost(v, q):
+    """Largest v(x) / (q . x) of an agent whose degree is 1 within DEGREE_TOL.
+
+    Closed forms cover the kinds whose partials diverge at zero at degree 1
+    (Cobb-Douglas, CES with sigma < 1).  Any other kind only diverges below
+    degree 1, where every ray from zero is profitable: the result is inf.
+    """
+    sel = v.valued_goods()
+    with np.errstate(divide="ignore"):
+        if isinstance(v, CobbDouglas):
+            e = v.exponents[sel]
+            return float(v.scale * np.prod((e / q[sel]) ** e))
+        if isinstance(v, CesForm) and v.sigma < 1.0:
+            s = v.sigma
+            terms = v.weights[sel] ** (1.0 / (1.0 - s)) * q[sel] ** (-s / (1.0 - s))
+            return float(terms.sum() ** ((1.0 - s) / s))
+    return np.inf
+
+
+def _stationarity_residual(vals, X, q, e, weights=None):
+    """Worst violation of [scaled marginal <= q_j, equality where x_ij > 0].
+
+    Agents with zero weight impose no conditions.  A partial that diverges
+    at a zero holding is a violation, with one exception: at e = 1 an agent
+    of degree 1 that holds none of its valued goods has those coordinates
+    waived, and must instead value no bundle above its cost at q; its best
+    value per unit cost minus 1 is the residual on the waived coordinates.
+    Returns (residual, waived coordinate list).
+    """
+    M, div = _scaled_marginals(vals, X, e, weights)
+    with np.errstate(invalid="ignore"):
+        E = M - q
+        gap = np.where(X > 0.0, np.abs(E), np.maximum(E, 0.0))
+    gap[div] = np.inf
+    waived = []
+    for i in np.flatnonzero(div.any(axis=1)):
+        v = vals[i]
+        idle = not X[i, v.valued_goods()].any()
+        if e == 1.0 and idle and abs(v.degree - 1.0) <= DEGREE_TOL:
+            gap[i, div[i]] = max(_value_per_cost(v, q) - 1.0, 0.0)
+            waived += [(int(i), int(j)) for j in np.flatnonzero(div[i])]
+    if weights is not None:
+        gap = gap[np.asarray(weights) != 0.0]
+    return float(gap.max(initial=0.0)), waived
+
+
+def kkt_residual(vals, rho, X, q):
+    """Max first-order violation of the welfare program at (X, q).
+
+    `rho` is the exponent of the program (0 for the log program).  Held
+    coordinates must price exactly and unheld ones must not be profitable,
+    under the waiver rule of _stationarity_residual; q must be nonnegative,
+    and goods with q_j > 0 must clear.
+    """
+    res, _ = _stationarity_residual(vals, X, q, rho)
+    if np.any(q < 0):
+        res = max(res, float(-q.min()))
+    priced = q > 0
+    if priced.any():
+        res = max(res, float(np.abs(X[:, priced].sum(axis=0) - 1.0).max()))
+    return res
+
+
+# ---------------------------------------------------------------------------
+# search phase: ellipsoid over the allocation polytope
+# ---------------------------------------------------------------------------
+
+
+def _floored_query(vals, e, X):
     """Ascent gradient of the objective from valuation gradients alone.
 
     Bundles are floored at a tiny interior point before the gradient query
@@ -183,26 +291,26 @@ def _floored_query(vals, rho, nash, X):
     Xe = np.maximum(X, _GRAD_POINT_FLOOR)
     G = np.stack([v.gradient(Xe[i]) for i, v in enumerate(vals)])
     implied = (Xe * G).sum(axis=1) / r
-    if nash:
-        return G / implied[:, None]
-    if rho == 1.0:
-        return G
-    return implied[:, None] ** (rho - 1.0) * G
+    return scaled_gradient(G, implied, e)
 
 
-def _tracking_objective(vals, rho, nash, X):
+def _tracking_objective(vals, e, X):
     """True objective for best-iterate tracking; surrogate near zero values."""
     V = np.array([v.value(X[i]) for i, v in enumerate(vals)])
-    if (nash or rho < 1.0) and V.min() < VALUE_FLOOR:
+    if e < 1.0 and V.min() < VALUE_FLOOR:
         return -_SURROGATE
-    if nash:
+    if e == 0.0:
         return float(np.log(V).sum())
-    if rho == 1.0:
-        return float(V.sum())
-    return float((V**rho).sum() / rho)
+    return float((V**e).sum() / e)
 
 
-def _ellipsoid_phase(vals, rho, nash, tolerance, max_iters):
+def _ellipsoid_phase(vals, e, tolerance, max_iters):
+    """Central-cut ellipsoid search for an approximate optimum.
+
+    Cuts come from gradient queries at floored bundles; the best iterate is
+    tracked with true values, so the search queries both gradients and
+    values.
+    """
     n, m = len(vals), vals[0].m
     d = n * m
     cut_template = np.zeros((n, m))
@@ -223,8 +331,8 @@ def _ellipsoid_phase(vals, rho, nash, tolerance, max_iters):
 
     def objective(z):
         X = np.maximum(z.reshape(n, m), 0.0)
-        f = -_tracking_objective(vals, rho, nash, X)
-        g = -_floored_query(vals, rho, nash, X)
+        f = -_tracking_objective(vals, e, X)
+        g = -_floored_query(vals, e, X)
         return f, g.ravel()
 
     center = np.full(d, 1.0 / (2 * n))
@@ -242,89 +350,9 @@ def _ellipsoid_phase(vals, rho, nash, tolerance, max_iters):
     return np.maximum(best.reshape(n, m), 0.0), iters
 
 
-def _pgd_phase(vals, rho, nash, tolerance, max_iters):
-    """Projected gradient ascent with diminishing steps; cross-check method."""
-    n, m = len(vals), vals[0].m
-    X = np.full((n, m), 1.0 / (2 * n))
-    best = X.copy()
-    best_f = _tracking_objective(vals, rho, nash, X)
-    g0 = _floored_query(vals, rho, nash, X)
-    step0 = 1.0 / max(1.0, float(np.abs(g0).max()))
-    iters = min(max_iters, 6000)
-    for k in range(iters):
-        G = _floored_query(vals, rho, nash, X)
-        Y = X + (step0 / math.sqrt(k + 1.0)) * G
-        for j in range(m):
-            Y[:, j] = project_capped_simplex(Y[:, j], 1.0)
-        X = Y
-        f = _tracking_objective(vals, rho, nash, X)
-        if f > best_f:
-            best_f = f
-            best = X.copy()
-    return best, iters
-
-
 # ---------------------------------------------------------------------------
 # refinement phase: active-set Newton on the first-order system
 # ---------------------------------------------------------------------------
-
-
-def _scaled_marginals(vals, rho, nash, X, q):
-    """E[i,j] = (scaled marginal value) - q_j, NaN where the check is waived.
-
-    The scaling factor is v_i**(rho-1) (1 for rho = 1, 1/v_i on the Nash
-    path).  A divergent partial at a zero coordinate is waived (NaN); a zero
-    value with rho < 1 makes the whole row +inf, which callers report as an
-    honest failure.
-    """
-    n, m = X.shape
-    E = np.full((n, m), np.nan)
-    waived = []
-    for i, v in enumerate(vals):
-        g, ok = v.partials(X[i])
-        vi = v.value(X[i])
-        if nash or rho < 1.0:
-            fac = (1.0 / vi if nash else vi ** (rho - 1.0)) if vi > 0.0 else np.inf
-        else:
-            fac = 1.0
-        row = np.where(ok, g, np.nan)
-        if np.isinf(fac):
-            # zero value where positivity is required: flag valued goods
-            E[i] = np.where(v.valued_goods(), np.inf, -q)
-        else:
-            E[i] = fac * row - q
-        for j in np.flatnonzero(~ok):
-            if X[i, j] == 0.0:
-                E[i, j] = np.nan
-                waived.append((i, int(j)))
-            else:
-                E[i, j] = np.inf
-    return E, waived
-
-
-def kkt_residual(vals, rho, X, q, *, nash=False):
-    """Max first-order violation of the welfare program at (X, q).
-
-    Held coordinates must price exactly; unheld ones must not be profitable;
-    goods with q_j > 0 must clear.  Waived coordinates (divergent partial at
-    a zero holding) are excluded, mirroring the certificate conventions.
-    """
-    E, _ = _scaled_marginals(vals, rho, nash, X, q)
-    held = X > 0.0
-    res = 0.0
-    finite = np.isfinite(E) | np.isinf(E)
-    eq = held & finite
-    if eq.any():
-        res = float(np.abs(E[eq]).max())
-    ineq = (~held) & finite
-    if ineq.any():
-        res = max(res, float(np.maximum(E[ineq], 0.0).max()))
-    if np.any(q < 0):
-        res = max(res, float(-q.min()))
-    priced = q > 0
-    if priced.any():
-        res = max(res, float(np.abs(X[:, priced].sum(axis=0) - 1.0).max()))
-    return res
 
 
 def _fd_jacobian(F, z, F0, n_x):
@@ -347,7 +375,7 @@ def _fd_jacobian(F, z, F0, n_x):
     return J
 
 
-def _newton_system(vals, rho, nash, support, priced, X_init, q_init):
+def _newton_system(vals, e, support, priced, X_init):
     """Solve the equality system on a fixed support to high accuracy.
 
     Unknowns: x on the support coordinates and q on the priced goods.
@@ -355,62 +383,24 @@ def _newton_system(vals, rho, nash, support, priced, X_init, q_init):
     sum_i x_ij = 1 on every priced good.
     """
     n, m = support.shape
-    sup = np.argwhere(support)
     pr = np.flatnonzero(priced)
-    n_x = sup.shape[0]
-    q_col = {int(j): k for k, j in enumerate(pr)}
-    agents = sorted(set(int(i) for i, _ in sup))
-    rows_of = {i: np.flatnonzero(support[i]) for i in agents}
+    n_x = int(support.sum())
 
     def F(z):
-        xs = np.maximum(z[:n_x], 1e-13)
-        qs = z[n_x:]
         X = np.zeros((n, m))
-        X[support] = xs
-        out = np.empty(n_x + pr.shape[0])
-        k = 0
-        for i in agents:
-            xi = X[i]
-            v = vals[i]
-            g, _ = v.partials(xi)
-            vi = v.value(xi)
-            if nash:
-                fac = 1.0 / max(vi, 1e-300)
-            elif rho == 1.0:
-                fac = 1.0
-            else:
-                fac = max(vi, 1e-300) ** (rho - 1.0)
-            for j in rows_of[i]:
-                out[k] = fac * g[j] - qs[q_col[int(j)]]
-                k += 1
-        col_sums = X.sum(axis=0)
-        out[n_x:] = col_sums[pr] - 1.0
-        return out
+        X[support] = np.maximum(z[:n_x], 1e-13)
+        q = np.zeros(m)
+        q[pr] = z[n_x:]
+        M, _ = _scaled_marginals(vals, X, e)
+        return np.concatenate([(M - q)[support], X.sum(axis=0)[pr] - 1.0])
 
-    # assemble z0; support coordinates get a small interior floor
+    # assemble z0; support coordinates get a small interior floor, and each
+    # multiplier starts at its holders' mean scaled marginal (1 if unheld)
     xs0 = np.maximum(X_init[support], 1e-6)
-    if q_init is None:
-        X = np.zeros((n, m))
-        X[support] = xs0
-        qs0 = np.zeros(pr.shape[0])
-        counts = np.zeros(pr.shape[0])
-        for i in agents:
-            v = vals[i]
-            g, ok = v.partials(X[i])
-            vi = v.value(X[i])
-            if nash:
-                fac = 1.0 / max(vi, 1e-300)
-            elif rho == 1.0:
-                fac = 1.0
-            else:
-                fac = max(vi, 1e-300) ** (rho - 1.0)
-            for j in rows_of[i]:
-                if ok[j]:
-                    qs0[q_col[int(j)]] += fac * g[j]
-                    counts[q_col[int(j)]] += 1.0
-        qs0 = np.where(counts > 0, qs0 / np.maximum(counts, 1.0), 1.0)
-    else:
-        qs0 = q_init[pr]
+    X = np.zeros((n, m))
+    X[support] = xs0
+    M, _ = _scaled_marginals(vals, X, e)
+    qs0 = _holder_mean(M, X, empty=1.0)[pr]
     z = np.concatenate([xs0, qs0])
 
     Fz = F(z)
@@ -451,7 +441,7 @@ def _newton_system(vals, rho, nash, support, priced, X_init, q_init):
     return X, q, its
 
 
-def _kkt_refine(vals, rho, X0, *, nash=False, max_rounds=40):
+def _kkt_refine(vals, e, X0, *, max_rounds=40):
     """Polish an approximate optimum to the first-order system's root.
 
     Picks the support from the search-phase iterate (forcing coordinates
@@ -463,7 +453,7 @@ def _kkt_refine(vals, rho, X0, *, nash=False, max_rounds=40):
     valued = np.stack([v.valued_goods() for v in vals])
     priced = valued.any(axis=0)
     divergent = np.stack([v.divergent_at_zero() for v in vals]) & valued
-    if nash or rho < 1.0:
+    if e < 1.0:
         active = np.ones(n, dtype=bool)
     else:
         active = np.array(
@@ -500,10 +490,11 @@ def _kkt_refine(vals, rho, X0, *, nash=False, max_rounds=40):
         if key in seen:
             break
         seen.add(key)
-        X, q, its = _newton_system(vals, rho, nash, support, priced, X0, None)
+        X, q, its = _newton_system(vals, e, support, priced, X0)
         iters += its
-        E, _ = _scaled_marginals(vals, rho, nash, X, q)
-        if not nash and rho == 1.0:
+        M, _ = _scaled_marginals(vals, X, e)
+        E = M - q
+        if e == 1.0:
             # With linear prices an agent whose bundle is worth less than it
             # costs belongs at zero: homogeneity makes welfare gain q.x - v(x)
             # from handing its mass to the price-setting holders.  Equality
@@ -544,19 +535,15 @@ def _kkt_refine(vals, rho, X0, *, nash=False, max_rounds=40):
     return X, q, iters
 
 
-def _solve_smooth(vals, rho, *, nash, tolerance, max_iters, method):
+def _solve_smooth(vals, e, *, tolerance, max_iters):
+    """Search then refine the program with exponent e (0 for the log program)."""
     for v in vals:
         if isinstance(v, Leontief):
             raise UnsupportedValuation(
                 "Leontief valuations have no gradient; use solve_leontief"
             )
-    if method == "ellipsoid":
-        X0, it1 = _ellipsoid_phase(vals, rho, nash, tolerance, max_iters)
-    elif method == "projected-gradient":
-        X0, it1 = _pgd_phase(vals, rho, nash, tolerance, max_iters)
-    else:
-        raise BadParameter(f"unknown method {method!r}")
-    X, q, it2 = _kkt_refine(vals, rho, X0, nash=nash)
+    X0, it1 = _ellipsoid_phase(vals, e, tolerance, max_iters)
+    X, q, it2 = _kkt_refine(vals, e, X0)
     return X, q, it1 + it2
 
 
@@ -565,7 +552,6 @@ def solve_ces(
     *,
     tolerance: float = 1e-8,
     max_iters: int = 100_000,
-    method: str = "ellipsoid",
 ) -> SolveResult:
     """Maximize (1/rho) sum_i v_i(x_i)**rho over the allocation polytope.
 
@@ -579,12 +565,7 @@ def solve_ces(
         raise BadParameter("max_iters must be at least 1")
     vals = instance.valuations
     X, q, iters = _solve_smooth(
-        vals,
-        instance.rho,
-        nash=False,
-        tolerance=tolerance,
-        max_iters=max_iters,
-        method=method,
+        vals, instance.rho, tolerance=tolerance, max_iters=max_iters
     )
     residual = kkt_residual(vals, instance.rho, X, q)
     values = np.array([v.value(X[i]) for i, v in enumerate(vals)])
@@ -616,33 +597,15 @@ def extract_multipliers(
     disagree by more than 10x the allowed relative spread.
     """
     X = as_allocation(allocation, instance.n, instance.m)
-    rho = instance.rho
-    vals = instance.valuations
-    n, m = X.shape
-    rows = []
-    for i, v in enumerate(vals):
-        g, ok = v.partials(X[i])
-        vi = v.value(X[i])
-        if rho == 1.0:
-            fac = 1.0
-        else:
-            fac = vi ** (rho - 1.0) if vi > 0.0 else np.inf
-        rows.append((np.where(ok, g, np.inf), fac))
-    q = np.zeros(m)
-    for j in range(m):
-        cands = []
-        for i in range(n):
-            if X[i, j] > _HOLDER_EPS:
-                g, fac = rows[i]
-                cands.append(fac * g[j] if g[j] != 0.0 else 0.0)
-        if not cands:
-            continue
-        cands = np.array(cands)
+    M, _ = _scaled_marginals(instance.valuations, X, instance.rho)
+    held = X > _HOLDER_EPS
+    q = _holder_mean(M, X)
+    for j in np.flatnonzero(held.any(axis=0)):
+        cands = M[held[:, j], j]
         if not np.all(np.isfinite(cands)):
             raise InconsistentMultipliers(
                 f"good {j}: a holder's implied multiplier is not finite"
             )
-        q[j] = float(cands.mean())
         spread = float(cands.max() - cands.min())
         rel = spread / max(abs(q[j]), 1e-30)
         if rel > 10.0 * spread_tol:
@@ -845,9 +808,13 @@ def solve_leontief(
 
     Works in the attained-level variables alpha_i (x_ij = w_ij * alpha_i is
     then the minimal bundle reaching alpha_i): maximize (1/rho) sum
-    alpha_i**rho subject to W^T alpha <= 1.  Supply multipliers are
-    recovered as central-difference sensitivities of the optimal objective
-    to each binding supply bound (step 1e-4).
+    alpha_i**rho subject to W^T alpha <= 1.  The supply multipliers are
+    the KKT duals of the supply bounds from the active-set Newton solve, so
+    each agent with alpha_i > 0 pays exactly rho * alpha_i under the
+    induced rule.  Where the duals are not unique (at rho = 1, when more
+    goods bind than agents have alpha_i > 0) the multipliers are the
+    least-squares solution the Newton steps reach on the binding set,
+    clipped at 0.
     """
     vals = instance.valuations
     for v in vals:
@@ -900,16 +867,16 @@ def solve_leontief(
     binding0 = usage > s - 1e-3 * np.maximum(1.0, s)
     if not binding0.any():
         binding0[int(np.argmax(usage - s))] = True
-    alpha, binding, q_newton, objective_val, it2 = _leontief_newton(
+    alpha, binding, q, objective_val, it2 = _leontief_newton(
         W, rho, s, alpha0, binding0
     )
 
-    # stationarity residual with the Newton multipliers decides convergence
+    # the stationarity residual at the Newton duals decides convergence
     res = 0.0
     margin = (
-        1.0 - W @ q_newton
+        1.0 - W @ q
         if rho == 1.0
-        else np.maximum(alpha, 1e-300) ** (rho - 1.0) - W @ q_newton
+        else np.maximum(alpha, 1e-300) ** (rho - 1.0) - W @ q
     )
     pos = alpha > 0
     if pos.any():
@@ -921,20 +888,6 @@ def solve_leontief(
     if binding.any():
         res = max(res, float(np.abs(usage[binding] - s[binding]).max()))
 
-    # envelope estimates: re-solve with each binding bound nudged both ways
-    h = 1e-4
-    q = np.zeros(m)
-    it3 = 0
-    for j in np.flatnonzero(binding):
-        sp = s.copy()
-        sp[j] += h
-        sm = s.copy()
-        sm[j] -= h
-        _, _, _, fp, k1 = _leontief_newton(W, rho, sp, alpha, binding)
-        _, _, _, fm, k2 = _leontief_newton(W, rho, sm, alpha, binding)
-        q[j] = max(0.0, (fp - fm) / (2.0 * h))
-        it3 += k1 + k2
-
     X = W * alpha[:, None]
     lam = np.where(X > 0, q[None, :], 0.0)
     result = LeontiefResult(
@@ -943,7 +896,7 @@ def solve_leontief(
         multipliers=q,
         duals=lam,
         objective=objective_val,
-        iterations=it1 + it2 + it3,
+        iterations=it1 + it2,
     )
     if not np.isfinite(res) or res > max(tolerance, 1e-9):
         raise DidNotConverge(

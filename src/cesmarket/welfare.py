@@ -101,6 +101,20 @@ def nash_objective(multipliers, values) -> float:
     return float(a @ np.log(v))
 
 
+def scaled_gradient(grads, values, e, weights=None):
+    """a_i * v_i**(e-1) * grads_ij: the allocation gradient of the objective.
+
+    (1/e) * sum_i a_i v_i**e and, at e = 0, sum_i a_i log v_i share this
+    form, because 1/v = v**(0-1).  It is the one place the first-order
+    scaling is written.  No validation: a zero value with e < 1 gives an
+    infinite factor.
+    """
+    fac = values ** (e - 1.0)
+    if weights is not None:
+        fac = weights * fac
+    return fac[:, None] * grads
+
+
 def objective_and_gradient_via_val_gradients(instance, x, multipliers=None):
     """Objective and its allocation gradient from valuation gradients alone.
 
@@ -132,8 +146,4 @@ def objective_and_gradient_via_val_gradients(instance, x, multipliers=None):
             "gradient-only objective undefined: an implied value is zero with rho < 1"
         )
     obj = float(a @ implied**rho / rho)
-    if rho == 1.0:
-        grad = a[:, None] * grads
-    else:
-        grad = a[:, None] * grads * implied[:, None] ** (rho - 1.0)
-    return obj, grad
+    return obj, scaled_gradient(grads, implied, rho, a)

@@ -5,6 +5,7 @@ import pytest
 
 from cesmarket import (
     BadParameter,
+    CesForm,
     Certificate,
     Instance,
     Linear,
@@ -14,6 +15,7 @@ from cesmarket import (
     ces_objective,
     demand_residual,
     equilibrium_rule,
+    extract_multipliers,
     grid_oracle,
     make_pricing_rule,
     solve_ces,
@@ -21,6 +23,8 @@ from cesmarket import (
     we_certificate,
     weighted_shift_certificate,
 )
+
+from cesmarket.solver import kkt_residual
 
 from conftest import random_instance, water_instance
 
@@ -144,6 +148,26 @@ def test_certificate_fails_on_uniform_split_at_rho_one():
     cert = we_certificate(inst, x, make_pricing_rule([6.0], 1.0, 1.0))
     assert not cert.passed
     assert cert.stationarity > 1e-3
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_certificate_rejects_starved_agent_with_divergent_partials(rho):
+    # the first agent values both goods twice as much but gets nothing; its
+    # partials diverge at zero, which must not hide that it would buy
+    strong, weak = CesForm([2.0, 2.0], 0.5, 1.0), CesForm([1.0, 1.0], 0.5, 1.0)
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    inst = Instance((strong, weak), rho)
+    q = extract_multipliers(inst, X)
+    assert not we_certificate(inst, X, make_pricing_rule(q, rho, 1.0)).passed
+    assert kkt_residual(inst.valuations, rho, X, q) > 0.0
+    # swapped, the idle agent is below break-even: waived, and certified
+    if rho == 1.0:
+        inst = Instance((weak, strong), rho)
+        q = extract_multipliers(inst, X)
+        cert = we_certificate(inst, X, make_pricing_rule(q, rho, 1.0))
+        assert cert.passed
+        assert cert.waived == ((0, 0), (0, 1))
+        assert kkt_residual(inst.valuations, rho, X, q) <= 1e-12
 
 
 def test_certificate_payment_identity(rng):

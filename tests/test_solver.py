@@ -20,6 +20,7 @@ from cesmarket import (
     closed_form_single_good,
     extract_multipliers,
     grid_oracle,
+    make_pricing_rule,
     solve_ces,
     solve_leontief,
 )
@@ -156,20 +157,10 @@ def test_solve_is_deterministic():
     assert a.iterations == b.iterations
 
 
-def test_solve_methods_agree(rng):
-    for _ in range(4):
-        inst = random_instance(rng, n=2, m=2)
-        a = solve_ces(inst, method="ellipsoid")
-        b = solve_ces(inst, method="projected-gradient")
-        assert abs(a.objective - b.objective) <= 1e-4
-
-
 def test_solve_rejects_leontief_and_bad_method():
     inst = Instance((Leontief([1.0, 1.0]),), 0.5)
     with pytest.raises(UnsupportedValuation):
         solve_ces(inst)
-    with pytest.raises(BadParameter):
-        solve_ces(water_instance(0.5), method="newton")
     with pytest.raises(BadParameter):
         solve_ces(water_instance(0.5), tolerance=-1.0)
 
@@ -266,6 +257,23 @@ def test_leontief_single_agent():
     res = solve_leontief(Instance((Leontief([1.0, 2.0]),), 0.5))
     assert res.alphas[0] == pytest.approx(0.5, abs=1e-10)
     np.testing.assert_allclose(res.allocation, [[0.5, 1.0]], atol=1e-10)
+    # only the second good binds: alpha**(rho-1) = 2 * q_2
+    np.testing.assert_allclose(
+        res.multipliers, [0.0, 0.5**-0.5 / 2.0], rtol=1e-12, atol=1e-15
+    )
+
+
+def test_leontief_multipliers_satisfy_payment_identity():
+    # the induced rule charges each agent rho * v_i, to rounding
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        rho = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        inst = Instance(tuple(Leontief(rng.uniform(0.3, 2.0, m)) for _ in range(n)), rho)
+        res = solve_leontief(inst)
+        rule = make_pricing_rule(res.multipliers, rho, 1.0)
+        for i in range(n):
+            assert abs(rule.price(res.allocation[i]) - rho * res.alphas[i]) <= 1e-12
 
 
 def test_leontief_vs_grid():
