@@ -142,24 +142,20 @@ def demand_residual(rule: PricingRule, v: Valuation, bundle) -> float:
 
     First-order form: the valuation marginal may not exceed the price
     marginal anywhere, and must match it on held coordinates.  Zero is
-    membership in the demand set (v concave, p convex).  A divergent
-    valuation partial at a held-zero coordinate is waived when the price
-    marginal there is finite, matching the certificate convention.
+    membership in the demand set (v concave, p convex).  A valuation partial
+    that diverges at a zero holding makes the residual inf, under the
+    certificate's one exception: under a linear rule (rho = 1) an agent of
+    degree 1 holding none of its valued goods is measured by its best value
+    per unit cost minus 1.
     """
     x = as_bundle(bundle, rule.m)
     if v.m != rule.m:
         raise DimensionMismatch("valuation and rule cover different goods")
-    g, ok = v.partials(x)
-    pm = rule.marginal(x)
-    res = 0.0
-    for j in range(rule.m):
-        if not ok[j]:
-            if x[j] == 0.0 and np.isfinite(pm[j]):
-                continue
-            return float("inf")
-        gap = g[j] - pm[j]
-        res = max(res, abs(gap) if x[j] > 0.0 else max(gap, 0.0))
-    return float(res)
+    res, waived = _stationarity_residual((v,), x[None, :], rule.marginal(x), 1.0)
+    if waived and rule.rho != 1.0:
+        # the value-per-cost bound decides demand only at linear prices
+        return float("inf")
+    return res
 
 
 def we_certificate(

@@ -5,7 +5,9 @@ x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
 
   - closed_form_single_good: the one-good optimum in closed form
   - solve_ces: ellipsoid search phase plus an active-set Newton
-    refinement that drives the first-order residual to certification grade
+    refinement that drives the first-order residual to certification grade;
+    its Newton steps use the exact Jacobian of the first-order system,
+    assembled from the valuations' analytic Hessians
   - extract_multipliers: per-good multipliers read off holder gradients
   - grid_oracle: brute-force simplex-grid enumeration for small instances
   - solve_leontief: the min-ratio (Leontief) variational program, with
@@ -14,11 +16,13 @@ x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
 Every first-order check goes through one kernel, _scaled_marginals: the
 allocation is supported by the convex price rule exactly when each held
 coordinate's scaled marginal v_i**(e-1) * dv_i/dx_ij equals q_j and each
-unheld one is at most q_j.
+unheld one is at most q_j.  Its derivative, _marginal_jacobian, supplies the
+refine's Newton steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +39,7 @@ from .errors import (
     TooLarge,
     UnsupportedValuation,
 )
-from .valuations import CesForm, CobbDouglas, Leontief, Valuation
+from .valuations import DEGREE_TOL, CesForm, CobbDouglas, Leontief, Valuation
 from .welfare import WelfareParams, ces_objective, scaled_gradient
 
 # Values below this are answered with a surrogate objective inside solver
@@ -46,14 +50,12 @@ _SURROGATE = 1e30
 # divergent boundary partials stay finite during the search.
 _GRAD_POINT_FLOOR = 1e-9
 
-# Agents of one instance must share their homogeneity degree to this tolerance.
-DEGREE_TOL = 1e-9
-
 _HOLDER_EPS = 1e-10       # an agent "holds" a good above this
 _SUPPORT_SEED = 1e-5      # ellipsoid mass above this seeds the Newton support
 _DROP_X = 1e-8            # support coordinates at/below this may be dropped
 _DROP_RES = -1e-7         # ... when their marginal sits this far below price
 _ADD_RES = 1e-9           # off-support marginal excess that re-opens a coordinate
+_NEWTON_FLOOR = 1e-13     # support coordinates are evaluated at least here
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,28 @@ def _scaled_marginals(vals, X, e, weights=None):
         M = scaled_gradient(G, V, e, weights)
     M[G == 0.0] = 0.0
     return M, div
+
+
+def _marginal_jacobian(vals, X, e):
+    """Per-agent blocks of the Jacobian of _scaled_marginals (weights 1).
+
+    Block i is d M_i / d x_i = (e-1) v_i**(e-2) g_i g_i^T + v_i**(e-1) H_i
+    with g_i and H_i the gradient and Hessian of v_i at x_i; M_i does not
+    depend on other agents' bundles.  Returns an (n, m, m) array.  Entries
+    are not finite where v_i = 0 or a partial diverges.
+    """
+    n, m = X.shape
+    G = np.empty((n, m))
+    H = np.empty((n, m, m))
+    V = np.empty(n)
+    for i, v in enumerate(vals):
+        G[i], _ = v.partials(X[i])
+        H[i] = v.hessian(X[i])
+        V[i] = v.value(X[i])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_gg = ((e - 1.0) * V ** (e - 2.0))[:, None, None]
+        c_h = (V ** (e - 1.0))[:, None, None]
+        return c_gg * G[:, :, None] * G[:, None, :] + c_h * H
 
 
 def _holder_mean(M, X, empty=0.0):
@@ -355,44 +379,62 @@ def _ellipsoid_phase(vals, e, tolerance, max_iters):
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(F, z, F0, n_x):
-    """Finite-difference Jacobian; one-sided near the x >= 0 boundary."""
-    p = z.shape[0]
-    J = np.empty((F0.shape[0], p))
-    for k in range(p):
-        if k < n_x and z[k] < 1e-6:
-            h = 1e-7
-            zp = z.copy()
-            zp[k] += h
-            J[:, k] = (F(zp) - F0) / h
-        else:
-            h = 1e-6 * max(1.0, abs(z[k]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[k] += h
-            zm[k] -= h
-            J[:, k] = (F(zp) - F(zm)) / (2.0 * h)
+def _support_point(support, pr, z):
+    """(X, q) of the Newton unknowns z: x on the support, then q on goods pr.
+
+    Support coordinates are floored at _NEWTON_FLOOR.
+    """
+    n_x = int(support.sum())
+    X = np.zeros(support.shape)
+    X[support] = np.maximum(z[:n_x], _NEWTON_FLOOR)
+    q = np.zeros(support.shape[1])
+    q[pr] = z[n_x:]
+    return X, q
+
+
+def _newton_residual(vals, e, support, pr, z):
+    """Scaled marginal minus q_j on the support, then sum_i x_ij - 1 on pr."""
+    X, q = _support_point(support, pr, z)
+    M, _ = _scaled_marginals(vals, X, e)
+    return np.concatenate([(M - q)[support], X.sum(axis=0)[pr] - 1.0])
+
+
+def _newton_jacobian(vals, e, support, pr, z):
+    """Exact Jacobian of _newton_residual at z.
+
+    The x-block is block diagonal by agent, from _marginal_jacobian; q
+    enters with -1 and clearing with +1.  A coordinate below the floor does
+    not move the floored point, so its column is zero.
+    """
+    n_x = int(support.sum())
+    rows, cols = np.nonzero(support)      # the order of X[support]
+    on_good = (cols[:, None] == pr[None, :]).astype(float)
+    X, _ = _support_point(support, pr, z)
+    B = _marginal_jacobian(vals, X, e)
+    J = np.zeros((n_x + pr.size, n_x + pr.size))
+    J[:n_x, :n_x] = np.where(
+        rows[:, None] == rows[None, :], B[rows[:, None], cols[:, None], cols], 0.0
+    )
+    J[:n_x, n_x:] = -on_good
+    J[n_x:, :n_x] = on_good.T
+    J[:, np.flatnonzero(z[:n_x] < _NEWTON_FLOOR)] = 0.0
     return J
 
 
 def _newton_system(vals, e, support, priced, X_init):
-    """Solve the equality system on a fixed support to high accuracy.
+    """Solve the equality system on a fixed support by exact-Jacobian Newton.
 
     Unknowns: x on the support coordinates and q on the priced goods.
     Equations: scaled marginal = q_j on every support coordinate, and
-    sum_i x_ij = 1 on every priced good.
+    sum_i x_ij = 1 on every priced good.  Each step solves with the exact
+    Jacobian of the residual (_newton_jacobian) and backtracks on its norm.
     """
     n, m = support.shape
     pr = np.flatnonzero(priced)
     n_x = int(support.sum())
 
     def F(z):
-        X = np.zeros((n, m))
-        X[support] = np.maximum(z[:n_x], 1e-13)
-        q = np.zeros(m)
-        q[pr] = z[n_x:]
-        M, _ = _scaled_marginals(vals, X, e)
-        return np.concatenate([(M - q)[support], X.sum(axis=0)[pr] - 1.0])
+        return _newton_residual(vals, e, support, pr, z)
 
     # assemble z0; support coordinates get a small interior floor, and each
     # multiplier starts at its holders' mean scaled marginal (1 if unheld)
@@ -411,7 +453,7 @@ def _newton_system(vals, e, support, priced, X_init):
         its += 1
         if np.abs(Fz).max() <= target:
             break
-        J = _fd_jacobian(F, z, Fz, n_x)
+        J = _newton_jacobian(vals, e, support, pr, z)
         dz, *_ = np.linalg.lstsq(J, -Fz, rcond=None)
         # keep x coordinates nonnegative
         dx = dz[:n_x]
@@ -622,15 +664,23 @@ def extract_multipliers(
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length `parts` summing to `total`."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        lead = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([lead, rest]))
-    return np.vstack(blocks)
+    """All nonnegative integer vectors of length `parts` summing to `total`.
+
+    Stars and bars: each choice of parts - 1 bar positions among
+    total + parts - 1 slots is one vector, its parts the gaps between bars.
+    Rows come in lexicographic order.
+    """
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.hstack(
+        [np.full((count, 1), -1, dtype=np.int64), bars, np.full((count, 1), slots, dtype=np.int64)]
+    )
+    return np.diff(edges, axis=1) - 1
 
 
 def grid_oracle(

@@ -5,6 +5,7 @@ v(0) = 0, is concave and nondecreasing, and is homogeneous of a stored
 degree r in (0, 1]: v(t * x) = t**r * v(x).  The degree is validated
 numerically at construction.  Gradients are exact where they exist;
 divergent boundary partials are reported as errors, never as infinities.
+Hessians are exact wherever every partial is finite.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .errors import (
 # and the scale factors it probes.
 HOMOGENEITY_RTOL = 1e-8
 _HOMOGENEITY_SCALES = (0.25, 0.5, 2.0)
+
+# Degrees within this of each other are one degree: agents of an instance
+# must share theirs to it, and a degree up to 1 + DEGREE_TOL (exponents that
+# sum one ulp past 1) is taken as exactly 1.
+DEGREE_TOL = 1e-9
 
 
 def as_bundle(x, m: int | None = None) -> np.ndarray:
@@ -52,10 +58,10 @@ class Valuation(ABC):
     def __init__(self, m: int, degree: float):
         if m < 1:
             raise DimensionMismatch("valuation needs at least one good")
-        if not (0.0 < degree <= 1.0):
+        if not (0.0 < degree <= 1.0 + DEGREE_TOL):
             raise BadParameter(f"degree must lie in (0, 1], got {degree}")
         self.m = int(m)
-        self.degree = float(degree)
+        self.degree = min(float(degree), 1.0)
 
     # -- required per-kind operations -------------------------------------
 
@@ -74,6 +80,16 @@ class Valuation(ABC):
         Returns (g, ok) where g[j] is the partial derivative when ok[j] is
         True and np.inf when the partial diverges at a zero coordinate.
         Raises NotDifferentiable for kinds with no gradient at all.
+        """
+
+    @abstractmethod
+    def hessian(self, x) -> np.ndarray:
+        """(m, m) matrix of second partials at x.
+
+        Exact wherever partials() reports every partial finite.  Entries in
+        the row or column of a divergent partial are not finite, and the
+        other entries stay exact.  Raises NotDifferentiable for kinds with
+        no gradient at all.
         """
 
     @abstractmethod
@@ -154,6 +170,10 @@ class Linear(Valuation):
         as_bundle(x, self.m)
         return self.weights.copy(), np.ones(self.m, dtype=bool)
 
+    def hessian(self, x):
+        as_bundle(x, self.m)
+        return np.zeros((self.m, self.m))
+
     def valued_goods(self):
         return self.weights > 0
 
@@ -189,6 +209,14 @@ class Power(Valuation):
             return np.array([np.inf]), np.zeros(1, dtype=bool)
         g = self.weight * self.degree * xb[0] ** (self.degree - 1.0)
         return np.array([g]), np.ones(1, dtype=bool)
+
+    def hessian(self, x):
+        xb = as_bundle(x, 1)
+        r = self.degree
+        if r == 1.0:
+            return np.zeros((1, 1))
+        with np.errstate(divide="ignore"):
+            return np.array([[self.weight * r * (r - 1.0) * xb[0] ** (r - 2.0)]])
 
     def valued_goods(self):
         return np.array([True])
@@ -251,6 +279,17 @@ class CobbDouglas(Valuation):
         v = self.value(xb)
         g[sel] = self.exponents[sel] * v / xb[sel]
         return g, ok
+
+    def hessian(self, x):
+        # v * (e e^T - diag e) / (x x^T) on the active goods
+        xb = as_bundle(x, self.m)
+        sel = self._active
+        e, xs = self.exponents[sel], xb[sel]
+        v = self.scale * np.prod(xs**e)
+        H = np.zeros((self.m, self.m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H[np.ix_(sel, sel)] = v * (np.outer(e, e) - np.diag(e)) / np.outer(xs, xs)
+        return H
 
     def valued_goods(self):
         return self._active.copy()
@@ -331,6 +370,25 @@ class CesForm(Valuation):
         g[sel] = r * self.weights[sel] * S ** (r - 1.0)
         return g, ok
 
+    def hessian(self, x):
+        # r(r-s) S**(r/s-2) u u^T + diag(r(s-1) S**(r/s-1) w x**(s-2)) on the
+        # valued goods, u = w x**(s-1); the diagonal term vanishes at s = 1.
+        xb = as_bundle(x, self.m)
+        r, s = self.degree, self.sigma
+        sel = self.weights > 0
+        w, xs = self.weights[sel], xb[sel]
+        S = self._inner(xb)
+        H = np.zeros((self.m, self.m))
+        if r == 1.0 and s == 1.0:
+            return H
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = w * xs ** (s - 1.0)
+            block = r * (r - s) * S ** (r / s - 2.0) * np.outer(u, u)
+            if s < 1.0:
+                block += np.diag(r * (s - 1.0) * S ** (r / s - 1.0) * w * xs ** (s - 2.0))
+        H[np.ix_(sel, sel)] = block
+        return H
+
     def valued_goods(self):
         return self.weights > 0
 
@@ -376,6 +434,9 @@ class Leontief(Valuation):
         return np.min(X[:, sel] / self.weights[sel], axis=1)
 
     def partials(self, x):
+        raise NotDifferentiable("Leontief valuations have no gradient")
+
+    def hessian(self, x):
         raise NotDifferentiable("Leontief valuations have no gradient")
 
     def gradient(self, x):
@@ -430,7 +491,7 @@ def from_json(fragment: dict) -> Valuation:
     if kind == "cobb-douglas":
         val = CobbDouglas(weights, fragment.get("scale", 1.0))
         stated = fragment.get("degree")
-        if stated is not None and abs(val.degree - float(stated)) > 1e-9:
+        if stated is not None and abs(val.degree - float(stated)) > DEGREE_TOL:
             raise BadParameter(
                 f"cobb-douglas degree {stated} does not match exponent sum {val.degree}"
             )

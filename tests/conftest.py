@@ -29,9 +29,6 @@ def random_valuation(rng, m, degree, kind=None):
     if kind == "cobb-douglas":
         e = rng.uniform(0.2, 1.0, m)
         e = e / e.sum() * degree
-        over = e.sum() - 1.0  # roundoff can overshoot the degree cap by 1 ulp
-        if over > 0:
-            e[e.argmax()] -= 2.0 * over
         return CobbDouglas(e, scale=float(rng.uniform(0.5, 2.0)))
     if kind == "ces":
         sigma = float(rng.choice([0.4, 0.6, 1.0]))

@@ -7,6 +7,7 @@ from cesmarket import (
     BadParameter,
     CesForm,
     Certificate,
+    CobbDouglas,
     Instance,
     Linear,
     NotEquilibrium,
@@ -117,10 +118,20 @@ def test_demand_residual_zero_iff_grid_argmax(rng):
         assert demand_residual(rule, v, [best]) <= 1e-2
 
 
-def test_demand_residual_waives_divergent_boundary():
-    # curved valuation, zero bundle: one-sided condition is vacuous
+def test_demand_residual_rejects_divergent_boundary():
+    # curved valuation, zero bundle: v(0.1) - p(0.1) = +0.306, so buying pays
     rule = make_pricing_rule([1.0], 0.5, 0.5)
-    assert demand_residual(rule, Power(1.0, 0.5), [0.0]) == 0.0
+    v = Power(1.0, 0.5)
+    assert v.value([0.1]) - rule.price([0.1]) > 0.3
+    assert demand_residual(rule, v, [0.0]) == np.inf
+
+
+def test_demand_residual_idle_agent_at_linear_prices():
+    # degree 1, nothing held: best value per unit cost prod((e/q)**e) - 1
+    rule = make_pricing_rule([1.0, 1.0], 1.0, 1.0)
+    assert demand_residual(rule, CobbDouglas([0.5, 0.5]), [0.0, 0.0]) == 0.0
+    res = demand_residual(rule, CobbDouglas([0.5, 0.5], scale=3.0), [0.0, 0.0])
+    assert res == pytest.approx(0.5, abs=1e-12)
 
 
 # -- certificates -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from cesmarket import (
     BadParameter,
+    CesForm,
     CobbDouglas,
     DidNotConverge,
     EmptyInput,
@@ -24,7 +25,12 @@ from cesmarket import (
     solve_ces,
     solve_leontief,
 )
-from cesmarket.solver import as_allocation, kkt_residual
+from cesmarket.solver import (
+    _newton_jacobian,
+    _newton_residual,
+    as_allocation,
+    kkt_residual,
+)
 
 from conftest import random_instance, water_instance
 
@@ -172,6 +178,42 @@ def test_did_not_converge_carries_result():
     assert res is not None
     # the carried iterate is still essentially optimal
     np.testing.assert_allclose(res.allocation[:, 0], [1 / 12, 0.5, 5 / 12], atol=1e-5)
+
+
+def test_solve_linear_market_from_rough_search():
+    # a 1000-iteration search leaves the refine far from the optimum; with a
+    # finite-difference Jacobian it stalled at residual 0.73
+    rng = np.random.default_rng(0)
+    inst = Instance(tuple(Linear(w) for w in rng.uniform(0.3, 3.0, (5, 5))), 0.5)
+    res = solve_ces(inst, max_iters=1000)
+    assert res.max_kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("e", [0.5, 0.0, 1.0])
+def test_newton_jacobian_matches_finite_differences(e):
+    rng = np.random.default_rng(5)
+    vals = (
+        CesForm([1.0, 2.0, 0.5], 0.5, 0.7),
+        CobbDouglas([0.3, 0.0, 0.4]),
+        CesForm([0.8, 1.5, 0.0], 1.0, 0.7),
+        CesForm([1.0, 0.3, 2.0], 0.6, 0.7),
+    )
+    support = np.stack([v.valued_goods() for v in vals]) & (rng.random((4, 3)) < 0.8)
+    support[1] = vals[1].valued_goods()
+    pr = np.array([0, 2])
+    z = np.concatenate([rng.uniform(0.1, 0.6, int(support.sum())), [0.7, 1.3]])
+    floored = int(np.flatnonzero(np.nonzero(support)[0] == 3)[0])
+    z[floored] = 0.0  # held at the floor: F does not move with it
+    J = _newton_jacobian(vals, e, support, pr, z)
+    fd = np.empty_like(J)
+    for k in range(z.shape[0]):
+        dz = np.zeros_like(z)
+        dz[k] = 1e-14 if k == floored else 1e-6  # the floor sits at 1e-13
+        F_plus = _newton_residual(vals, e, support, pr, z + dz)
+        F_minus = _newton_residual(vals, e, support, pr, z - dz)
+        fd[:, k] = (F_plus - F_minus) / (2 * dz[k])
+    assert not J[:, floored].any()
+    np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-5)
 
 
 def test_kkt_residual_flags_suboptimal_points():

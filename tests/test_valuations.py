@@ -15,7 +15,7 @@ from cesmarket import (
     Power,
     euler_residual,
 )
-from cesmarket.valuations import as_bundle, from_json
+from cesmarket.valuations import DEGREE_TOL, as_bundle, from_json
 
 from conftest import random_valuation
 
@@ -110,6 +110,8 @@ def test_leontief_not_differentiable():
     with pytest.raises(NotDifferentiable):
         Leontief([1.0, 2.0]).gradient([0.5, 0.5])
     with pytest.raises(NotDifferentiable):
+        Leontief([1.0, 2.0]).hessian([0.5, 0.5])
+    with pytest.raises(NotDifferentiable):
         euler_residual(Leontief([1.0]), [0.5])
 
 
@@ -119,6 +121,38 @@ def test_gradient_matches_finite_differences(rng):
         v = random_valuation(rng, m, float(rng.choice([1.0, 0.5, 0.75])))
         x = rng.uniform(0.1, 1.0, m)
         np.testing.assert_allclose(v.gradient(x), fd_gradient(v, x), atol=1e-4)
+
+
+def fd_hessian(v, x, h=1e-6):
+    """Central differences of the partials (interior points only)."""
+    H = np.zeros((x.shape[0], x.shape[0]))
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = h
+        H[:, k] = (v.partials(x + e)[0] - v.partials(x - e)[0]) / (2 * h)
+    return H
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        Linear([1.0, 2.0, 0.5]),
+        Power(2.0, 0.5),
+        CobbDouglas([0.2, 0.3, 0.4]),
+        CobbDouglas([0.5, 0.0, 0.5], scale=1.5),
+        CesForm([1.0, 2.0, 0.5], 0.5, 0.7),
+        CesForm([1.0, 0.0, 0.5], 0.4, 1.0),
+        CesForm([1.0, 2.0, 0.5], 1.0, 0.6),
+        CesForm([1.0, 2.0, 0.5], 1.0, 1.0),
+    ],
+)
+def test_hessian_matches_finite_differences(v):
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        x = rng.uniform(0.1, 1.0, v.m)
+        H = v.hessian(x)
+        assert H.shape == (v.m, v.m)
+        np.testing.assert_allclose(H, fd_hessian(v, x), rtol=1e-6, atol=1e-6)
 
 
 # -- structural properties ----------------------------------------------------
@@ -205,6 +239,16 @@ def test_constructor_rejections():
         CesForm([1.0, 1.0], 0.5, 0.0)
     with pytest.raises(BadParameter):
         Leontief([0.0, 0.0])
+
+
+def test_degree_one_ulp_past_one_is_one():
+    # Dirichlet exponents sum to 1.0000000000000002 for some draws
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        assert CobbDouglas(rng.dirichlet(np.ones(3))).degree <= 1.0
+    assert CesForm([1.0], 0.5, 1.0 + DEGREE_TOL).degree == 1.0
+    with pytest.raises(BadParameter):
+        Power(1.0, 1.0 + 2 * DEGREE_TOL)
 
 
 def test_bundle_validation():
