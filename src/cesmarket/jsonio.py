@@ -104,10 +104,6 @@ def instance_from_json(data: dict):
         _require(v.m == goods,
                  f"agent {k} covers {v.m} goods but the instance declares {goods}")
         vals.append(v)
-    degrees = {round(v.degree, 12) for v in vals}
-    _require(len(degrees) == 1,
-             "all agents must share one homogeneity degree; mixed-degree "
-             "markets admit no common supporting price rule")
     kappa = data.get("kappa")
     if kappa is not None:
         _require(_is_number(kappa) and kappa >= 0,

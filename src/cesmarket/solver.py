@@ -4,20 +4,23 @@ The central program: maximize (1/rho) * sum_i v_i(x_i)**rho over allocations
 x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
 
   - closed_form_single_good: the one-good optimum in closed form
-  - solve_ces: ellipsoid search phase plus an active-set Newton
-    refinement that drives the first-order residual to certification grade;
-    its Newton steps use the exact Jacobian of the first-order system,
-    assembled from the valuations' analytic Hessians
+  - solve_ces: the smooth program; its Newton steps use the exact Jacobian
+    of the first-order system, assembled from the valuations' analytic
+    Hessians
   - extract_multipliers: per-good multipliers read off holder gradients
   - grid_oracle: brute-force simplex-grid enumeration for small instances
-  - solve_leontief: the min-ratio (Leontief) variational program, with
-    supply multipliers taken from the KKT duals of its Newton solve
+  - solve_leontief: the min-ratio (Leontief) program in attained levels,
+    with supply multipliers taken from the KKT duals of its Newton solve
 
-Every first-order check goes through one kernel, _scaled_marginals: the
+Both solvers take the same steps: _check_budget, an ellipsoid search that
+tracks its best iterate with _tracking_objective, an active-set Newton
+polish whose every equality solve runs through _damped_newton, and a
+first-order residual that decides convergence.  Every first-order check of
+the smooth program goes through one kernel, _scaled_marginals: the
 allocation is supported by the convex price rule exactly when each held
 coordinate's scaled marginal v_i**(e-1) * dv_i/dx_ij equals q_j and each
 unheld one is at most q_j.  Its derivative, _marginal_jacobian, supplies the
-refine's Newton steps.
+Newton steps.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ from .errors import (
     UnsupportedValuation,
 )
 from .valuations import DEGREE_TOL, CesForm, CobbDouglas, Leontief, Valuation
-from .welfare import WelfareParams, ces_objective, scaled_gradient
+from .welfare import (
+    WelfareParams,
+    ces_objective,
+    implied_scaled_gradient,
+    scaled_gradient,
+)
 
 # Values below this are answered with a surrogate objective inside solver
 # iterations; certification never sees floored values.
@@ -307,20 +315,16 @@ def _floored_query(vals, e, X):
     """Ascent gradient of the objective from valuation gradients alone.
 
     Bundles are floored at a tiny interior point before the gradient query
-    so boundary singularities stay finite, and each value is reconstructed
-    from its own gradient through the homogeneity identity
-    v = (1/r) * x . grad v.
+    so boundary singularities stay finite; values come from the gradients
+    through homogeneity (welfare.implied_scaled_gradient).
     """
-    r = vals[0].degree
     Xe = np.maximum(X, _GRAD_POINT_FLOOR)
     G = np.stack([v.gradient(Xe[i]) for i, v in enumerate(vals)])
-    implied = (Xe * G).sum(axis=1) / r
-    return scaled_gradient(G, implied, e)
+    return implied_scaled_gradient(G, Xe, vals[0].degree, e)[1]
 
 
-def _tracking_objective(vals, e, X):
-    """True objective for best-iterate tracking; surrogate near zero values."""
-    V = np.array([v.value(X[i]) for i, v in enumerate(vals)])
+def _tracking_objective(V, e):
+    """Objective at values V for best-iterate tracking; surrogate near zero values."""
     if e < 1.0 and V.min() < VALUE_FLOOR:
         return -_SURROGATE
     if e == 0.0:
@@ -355,7 +359,8 @@ def _ellipsoid_phase(vals, e, tolerance, max_iters):
 
     def objective(z):
         X = np.maximum(z.reshape(n, m), 0.0)
-        f = -_tracking_objective(vals, e, X)
+        V = np.array([v.value(X[i]) for i, v in enumerate(vals)])
+        f = -_tracking_objective(V, e)
         g = -_floored_query(vals, e, X)
         return f, g.ravel()
 
@@ -421,20 +426,57 @@ def _newton_jacobian(vals, e, support, pr, z):
     return J
 
 
+def _damped_newton(F, J, z, n_pos, rtol, max_steps):
+    """Damped least-squares Newton on F(z) = 0, keeping z[:n_pos] nonnegative.
+
+    Each step solves J(z) dz = -F(z) in least squares, is cut where the
+    first n_pos unknowns reach zero, and is halved up to 14 times until the
+    residual norm falls by the Armijo factor.  Stops once max |F| <= rtol *
+    max(1, max |z[n_pos:]|) at the start, after max_steps steps, or when no
+    step is accepted.  Returns (z, steps).
+
+    Cutting onto zero, not just short of it, matters: a coordinate that
+    lands below _NEWTON_FLOOR is held at the floor by the callers' F, while
+    one left at a millionth of its value keeps a near-singular marginal
+    that can stall the smooth program's refine.
+    """
+    target = rtol * max(1.0, float(np.abs(z[n_pos:]).max(initial=0.0)))
+    Fz = F(z)
+    steps = 0
+    for _ in range(max_steps):
+        steps += 1
+        if np.abs(Fz).max() <= target:
+            break
+        dz, *_ = np.linalg.lstsq(J(z), -Fz, rcond=None)
+        dx = dz[:n_pos]
+        shrink = dx < 0
+        t = 1.0
+        if shrink.any():
+            t = min(1.0, float(np.min(z[:n_pos][shrink] / -dx[shrink])))
+        norm0 = float(np.linalg.norm(Fz))
+        for _ in range(14):
+            z_new = z + t * dz
+            F_new = F(z_new)
+            if float(np.linalg.norm(F_new)) <= (1.0 - 1e-4 * t) * norm0:
+                z, Fz = z_new, F_new
+                break
+            t *= 0.5
+        else:
+            break
+    return z, steps
+
+
 def _newton_system(vals, e, support, priced, X_init):
     """Solve the equality system on a fixed support by exact-Jacobian Newton.
 
     Unknowns: x on the support coordinates and q on the priced goods.
     Equations: scaled marginal = q_j on every support coordinate, and
-    sum_i x_ij = 1 on every priced good.  Each step solves with the exact
-    Jacobian of the residual (_newton_jacobian) and backtracks on its norm.
+    sum_i x_ij = 1 on every priced good.  _damped_newton steps with the
+    exact Jacobian of the residual (_newton_jacobian).
     """
     n, m = support.shape
     pr = np.flatnonzero(priced)
     n_x = int(support.sum())
-
-    def F(z):
-        return _newton_residual(vals, e, support, pr, z)
 
     # assemble z0; support coordinates get a small interior floor, and each
     # multiplier starts at its holders' mean scaled marginal (1 if unheld)
@@ -443,37 +485,14 @@ def _newton_system(vals, e, support, priced, X_init):
     X[support] = xs0
     M, _ = _scaled_marginals(vals, X, e)
     qs0 = _holder_mean(M, X, empty=1.0)[pr]
-    z = np.concatenate([xs0, qs0])
-
-    Fz = F(z)
-    scale = max(1.0, float(np.abs(qs0).max()) if qs0.size else 1.0)
-    target = 1e-12 * scale
-    its = 0
-    for _ in range(60):
-        its += 1
-        if np.abs(Fz).max() <= target:
-            break
-        J = _newton_jacobian(vals, e, support, pr, z)
-        dz, *_ = np.linalg.lstsq(J, -Fz, rcond=None)
-        # keep x coordinates nonnegative
-        dx = dz[:n_x]
-        shrink = dx < 0
-        t_max = 1.0
-        if shrink.any():
-            t_max = min(1.0, float(np.min(z[:n_x][shrink] / -dx[shrink])))
-        t = t_max
-        norm0 = float(np.linalg.norm(Fz))
-        accepted = False
-        for _ in range(14):
-            z_new = z + t * dz
-            F_new = F(z_new)
-            if float(np.linalg.norm(F_new)) <= (1.0 - 1e-4 * t) * norm0:
-                z, Fz = z_new, F_new
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
+    z, its = _damped_newton(
+        lambda zz: _newton_residual(vals, e, support, pr, zz),
+        lambda zz: _newton_jacobian(vals, e, support, pr, zz),
+        np.concatenate([xs0, qs0]),
+        n_x,
+        1e-12,
+        60,
+    )
     X = np.zeros((n, m))
     X[support] = np.maximum(z[:n_x], 0.0)
     q = np.zeros(m)
@@ -577,6 +596,14 @@ def _kkt_refine(vals, e, X0, *, max_rounds=40):
     return X, q, iters
 
 
+def _check_budget(tolerance, max_iters):
+    """Both solvers' parameter check: a positive finite tolerance, max_iters >= 1."""
+    if tolerance <= 0 or not np.isfinite(tolerance):
+        raise BadParameter("tolerance must be positive")
+    if max_iters < 1:
+        raise BadParameter("max_iters must be at least 1")
+
+
 def _solve_smooth(vals, e, *, tolerance, max_iters):
     """Search then refine the program with exponent e (0 for the log program)."""
     for v in vals:
@@ -601,10 +628,7 @@ def solve_ces(
     DidNotConverge (carrying the best iterate) when the final first-order
     residual exceeds `tolerance`.
     """
-    if tolerance <= 0 or not np.isfinite(tolerance):
-        raise BadParameter("tolerance must be positive")
-    if max_iters < 1:
-        raise BadParameter("max_iters must be at least 1")
+    _check_budget(tolerance, max_iters)
     vals = instance.valuations
     X, q, iters = _solve_smooth(
         vals, instance.rho, tolerance=tolerance, max_iters=max_iters
@@ -717,16 +741,8 @@ def grid_oracle(
             X[:, :, j] = cols[col_idx]
         obj = np.zeros(idx.shape[0])
         for i, v in enumerate(instance.valuations):
-            vi = v.values_batch(X[:, i, :])
-            if rho < 0:
-                with np.errstate(divide="ignore"):
-                    obj += np.where(vi > 0, vi, np.nan) ** rho
-            else:
-                obj += vi**rho
-        if rho < 0:
-            obj = np.where(np.isnan(obj), -np.inf, obj / rho)
-        else:
-            obj = obj / rho
+            obj += v.values_batch(X[:, i, :]) ** rho
+        obj = obj / rho
         k = int(np.argmax(obj))
         if obj[k] > best_obj:
             best_obj = float(obj[k])
@@ -744,17 +760,10 @@ def grid_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _leontief_objective(alpha, rho):
-    a = np.maximum(alpha, 0.0)
-    if rho == 1.0:
-        return float(a.sum())
-    return float((a**rho).sum() / rho)
-
-
 def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
     """Active-set Newton for: max (1/rho) sum alpha**rho, W^T alpha <= s.
 
-    Returns (alpha, binding_mask, q, objective, iterations).  The stationarity
+    Returns (alpha, binding_mask, q, iterations).  The stationarity
     condition is alpha_i**(rho-1) = sum_j q_j w_ij with one-sided slack at
     alpha_i = 0 (possible only at rho = 1, where the objective is linear).
     """
@@ -764,6 +773,12 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
         act = alpha_init > 1e-9
         if not act.any():
             act[int(np.argmax(alpha_init))] = True
+        # a vertex of the linear program binds no more goods than it has
+        # active agents; more would overdetermine the Newton system
+        usage = W.T @ alpha_init
+        while binding.sum() > act.sum():
+            B = np.flatnonzero(binding)
+            binding[B[np.argmax(s[B] - usage[B])]] = False
     else:
         act = np.ones(n, dtype=bool)
     alpha = np.maximum(alpha_init, 1e-9 if rho < 1.0 else 0.0)
@@ -780,50 +795,24 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
         qb = q[B] if q[B].any() else np.maximum(
             np.linalg.lstsq(Wab, a ** (rho - 1.0), rcond=None)[0], 0.0
         )
-        z = np.concatenate([a, qb])
         nA, nB = A.shape[0], B.shape[0]
 
+        # at rho = 1 the powers below are exactly 1 and 0
         def F(zz):
-            aa = np.maximum(zz[:nA], 1e-13)
-            qq = zz[nA:]
-            if rho == 1.0:
-                stat = 1.0 - Wab @ qq
-            else:
-                stat = aa ** (rho - 1.0) - Wab @ qq
+            aa = np.maximum(zz[:nA], _NEWTON_FLOOR)
             full = np.zeros(n)
             full[A] = aa
-            clear = W[:, B].T @ full - s[B]
-            return np.concatenate([stat, clear])
+            return np.concatenate(
+                [aa ** (rho - 1.0) - Wab @ zz[nA:], W[:, B].T @ full - s[B]]
+            )
 
-        Fz = F(z)
-        for _ in range(40):
-            its += 1
-            if np.abs(Fz).max() <= 1e-13 * max(1.0, float(np.abs(z[nA:]).max())):
-                break
-            aa = np.maximum(z[:nA], 1e-13)
-            J = np.zeros((nA + nB, nA + nB))
-            if rho < 1.0:
-                J[:nA, :nA] = np.diag((rho - 1.0) * aa ** (rho - 2.0))
-            J[:nA, nA:] = -Wab
-            J[nA:, :nA] = Wab.T
-            dz, *_ = np.linalg.lstsq(J, -Fz, rcond=None)
-            da = dz[:nA]
-            t = 1.0
-            shrink = da < 0
-            if shrink.any():
-                t = min(1.0, float(np.min(aa[shrink] / -da[shrink])) * 0.999999)
-            norm0 = float(np.linalg.norm(Fz))
-            accepted = False
-            for _ in range(14):
-                z_new = z + t * dz
-                F_new = F(z_new)
-                if float(np.linalg.norm(F_new)) <= (1.0 - 1e-4 * t) * norm0:
-                    z, Fz = z_new, F_new
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
+        def J(zz):
+            aa = np.maximum(zz[:nA], _NEWTON_FLOOR)
+            D = np.diag((rho - 1.0) * aa ** (rho - 2.0))
+            return np.block([[D, -Wab], [Wab.T, np.zeros((nB, nB))]])
+
+        z, steps = _damped_newton(F, J, np.concatenate([a, qb]), nA, 1e-13, 40)
+        its += steps
         alpha = np.zeros(n)
         alpha[A] = np.maximum(z[:nA], 0.0)
         q = np.zeros(m)
@@ -848,7 +837,7 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
                 changed = True
         if not changed:
             break
-    return alpha, binding, np.maximum(q, 0.0), _leontief_objective(alpha, rho), its
+    return alpha, binding, np.maximum(q, 0.0), its
 
 
 def solve_leontief(
@@ -861,11 +850,12 @@ def solve_leontief(
     alpha_i**rho subject to W^T alpha <= 1.  The supply multipliers are
     the KKT duals of the supply bounds from the active-set Newton solve, so
     each agent with alpha_i > 0 pays exactly rho * alpha_i under the
-    induced rule.  Where the duals are not unique (at rho = 1, when more
-    goods bind than agents have alpha_i > 0) the multipliers are the
-    least-squares solution the Newton steps reach on the binding set,
-    clipped at 0.
+    induced rule.  At rho = 1 the Newton solve starts from no more binding
+    goods than agents with alpha_i > 0; where the duals are still not
+    unique the multipliers are the least-squares solution the Newton steps
+    reach on the binding set, clipped at 0.
     """
+    _check_budget(tolerance, max_iters)
     vals = instance.valuations
     for v in vals:
         if not isinstance(v, Leontief):
@@ -894,12 +884,8 @@ def solve_leontief(
 
     def objective(z):
         a = np.maximum(z, 0.0)
-        if rho < 1.0 and a.min() < VALUE_FLOOR:
-            f = _SURROGATE
-        else:
-            f = -_leontief_objective(a, rho)
         g = -np.maximum(a, _GRAD_POINT_FLOOR) ** (rho - 1.0)
-        return f, g
+        return -_tracking_objective(a, rho), g
 
     best, _, it1 = ellipsoid_minimize(
         objective,
@@ -917,17 +903,11 @@ def solve_leontief(
     binding0 = usage > s - 1e-3 * np.maximum(1.0, s)
     if not binding0.any():
         binding0[int(np.argmax(usage - s))] = True
-    alpha, binding, q, objective_val, it2 = _leontief_newton(
-        W, rho, s, alpha0, binding0
-    )
+    alpha, binding, q, it2 = _leontief_newton(W, rho, s, alpha0, binding0)
 
     # the stationarity residual at the Newton duals decides convergence
     res = 0.0
-    margin = (
-        1.0 - W @ q
-        if rho == 1.0
-        else np.maximum(alpha, 1e-300) ** (rho - 1.0) - W @ q
-    )
+    margin = np.maximum(alpha, 1e-300) ** (rho - 1.0) - W @ q
     pos = alpha > 0
     if pos.any():
         res = float(np.abs(margin[pos]).max())
@@ -945,7 +925,7 @@ def solve_leontief(
         alphas=alpha,
         multipliers=q,
         duals=lam,
-        objective=objective_val,
+        objective=ces_objective(WelfareParams(rho), alpha),
         iterations=it1 + it2,
     )
     if not np.isfinite(res) or res > max(tolerance, 1e-9):

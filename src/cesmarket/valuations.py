@@ -86,10 +86,11 @@ class Valuation(ABC):
     def hessian(self, x) -> np.ndarray:
         """(m, m) matrix of second partials at x.
 
-        Exact wherever partials() reports every partial finite.  Entries in
-        the row or column of a divergent partial are not finite, and the
-        other entries stay exact.  Raises NotDifferentiable for kinds with
-        no gradient at all.
+        Exact wherever partials() reports every partial finite.  Entries
+        whose row and column both belong to divergent partials are not
+        finite (never an exception), and entries between finite partials
+        stay exact.  Raises NotDifferentiable for kinds with no gradient at
+        all.
         """
 
     @abstractmethod
@@ -377,7 +378,8 @@ class CesForm(Valuation):
         r, s = self.degree, self.sigma
         sel = self.weights > 0
         w, xs = self.weights[sel], xb[sel]
-        S = self._inner(xb)
+        # a numpy scalar, so S = 0 gives inf under errstate, not ZeroDivisionError
+        S = np.float64(self._inner(xb))
         H = np.zeros((self.m, self.m))
         if r == 1.0 and s == 1.0:
             return H

@@ -115,6 +115,17 @@ def scaled_gradient(grads, values, e, weights=None):
     return fac[:, None] * grads
 
 
+def implied_scaled_gradient(grads, X, r, e, weights=None):
+    """(v, scaled_gradient(grads, v, e, weights)) with v_i = x_i . grads_i / r.
+
+    The homogeneity identity rebuilds each degree-r value from its own
+    gradient, so first-order queries alone give the objective's gradient.
+    No validation, as in scaled_gradient.
+    """
+    implied = (X * grads).sum(axis=1) / r
+    return implied, scaled_gradient(grads, implied, e, weights)
+
+
 def objective_and_gradient_via_val_gradients(instance, x, multipliers=None):
     """Objective and its allocation gradient from valuation gradients alone.
 
@@ -140,10 +151,10 @@ def objective_and_gradient_via_val_gradients(instance, x, multipliers=None):
     grads = np.empty((n, m))
     for i, v in enumerate(vals):
         grads[i] = v.gradient(X[i])
-    implied = (X * grads).sum(axis=1) / r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        implied, grad = implied_scaled_gradient(grads, X, r, rho, a)
     if rho < 1.0 and np.any(implied <= 0.0):
         raise DomainError(
             "gradient-only objective undefined: an implied value is zero with rho < 1"
         )
-    obj = float(a @ implied**rho / rho)
-    return obj, scaled_gradient(grads, implied, rho, a)
+    return float(a @ implied**rho / rho), grad

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cesmarket import (
+    CesForm,
     InstanceFormatError,
     Instance,
     Linear,
@@ -107,6 +108,15 @@ def test_instance_from_json_rejects_mixed_degree():
     with pytest.raises(InstanceFormatError) as err:
         instance_from_json(data)
     assert "share one homogeneity degree" in str(err.value)
+
+
+def test_instance_round_trip_within_degree_tolerance(tmp_path):
+    # degrees 5e-10 apart share one degree under DEGREE_TOL
+    vals = (CesForm([1.0, 2.0], 0.5, 0.7), CesForm([2.0, 1.0], 0.5, 0.7 + 5e-10))
+    inst = Instance(vals, 0.5)
+    save_instance(tmp_path / "inst.json", inst)
+    again, _ = load_instance(tmp_path / "inst.json")
+    assert [v.degree for v in again.valuations] == [v.degree for v in inst.valuations]
 
 
 def test_instance_good_count_mismatch():

@@ -167,8 +167,23 @@ def test_solve_rejects_leontief_and_bad_method():
     inst = Instance((Leontief([1.0, 1.0]),), 0.5)
     with pytest.raises(UnsupportedValuation):
         solve_ces(inst)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tolerance": float("nan")}, {"tolerance": 0.0}, {"tolerance": -1.0}, {"max_iters": 0}],
+)
+@pytest.mark.parametrize(
+    "solve, inst",
+    [
+        (solve_ces, water_instance(0.5)),
+        (solve_leontief, Instance((Leontief([1.0, 2.0]), Leontief([2.0, 1.0])), 0.5)),
+    ],
+    ids=["ces", "leontief"],
+)
+def test_solvers_reject_bad_budget(solve, inst, kwargs):
     with pytest.raises(BadParameter):
-        solve_ces(water_instance(0.5), tolerance=-1.0)
+        solve(inst, **kwargs)
 
 
 def test_did_not_converge_carries_result():
@@ -185,6 +200,23 @@ def test_solve_linear_market_from_rough_search():
     # finite-difference Jacobian it stalled at residual 0.73
     rng = np.random.default_rng(0)
     inst = Instance(tuple(Linear(w) for w in rng.uniform(0.3, 3.0, (5, 5))), 0.5)
+    res = solve_ces(inst, max_iters=1000)
+    assert res.max_kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "weights, sigmas",
+    [
+        # the second agent ends with nothing, where its CES Hessian once
+        # raised ZeroDivisionError inside the Newton Jacobian
+        ([[1.0, 0.8, 2.7, 0.4], [0.8, 2.4, 0.9, 1.0]], [0.5, 0.8]),
+        # Newton steps cut 0.999999 of the way to x = 0, not onto it, stall
+        ([[2.87, 2.12, 2.95, 2.82], [1.93, 1.62, 2.34, 0.42]], [0.5, 0.5]),
+    ],
+    ids=["agent-left-empty", "step-onto-boundary"],
+)
+def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
+    inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 1.0)
     res = solve_ces(inst, max_iters=1000)
     assert res.max_kkt_residual <= 1e-8
 
@@ -307,8 +339,9 @@ def test_leontief_single_agent():
 
 def test_leontief_multipliers_satisfy_payment_identity():
     # the induced rule charges each agent rho * v_i, to rounding
+    # draw 23 binds more goods than agents at rho = 1 after the search
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    for _ in range(30):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         rho = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         inst = Instance(tuple(Leontief(rng.uniform(0.3, 2.0, m)) for _ in range(n)), rho)

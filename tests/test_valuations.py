@@ -144,6 +144,7 @@ def fd_hessian(v, x, h=1e-6):
         CesForm([1.0, 0.0, 0.5], 0.4, 1.0),
         CesForm([1.0, 2.0, 0.5], 1.0, 0.6),
         CesForm([1.0, 2.0, 0.5], 1.0, 1.0),
+        CesForm([1.0, 2.0], 0.8, 1.0),
     ],
 )
 def test_hessian_matches_finite_differences(v):
@@ -153,6 +154,11 @@ def test_hessian_matches_finite_differences(v):
         H = v.hessian(x)
         assert H.shape == (v.m, v.m)
         np.testing.assert_allclose(H, fd_hessian(v, x), rtol=1e-6, atol=1e-6)
+    # at the zero bundle, entries between divergent partials are not finite
+    _, ok = v.partials(np.zeros(v.m))
+    H0 = v.hessian(np.zeros(v.m))
+    assert not np.isfinite(H0[np.ix_(~ok, ~ok)]).any()
+    assert np.isfinite(H0[np.ix_(ok, ok)]).all()
 
 
 # -- structural properties ----------------------------------------------------
