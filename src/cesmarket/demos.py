@@ -32,6 +32,7 @@ from .solver import (
     grid_oracle,
     kkt_residual,
 )
+from .valuations import ValuationStack
 
 
 @dataclass(frozen=True)
@@ -232,11 +233,11 @@ def _nash_solve(instance: Instance, tolerance: float = 1e-6):
     The log program is the exponent-0 program: its scaled marginals are
     dv_i/dx_ij / v_i.
     """
-    vals = instance.valuations
-    X, _, iters = _solve_smooth(vals, 0.0, tolerance=1e-8, max_iters=100_000)
-    M, _ = _scaled_marginals(vals, X, 0.0)
+    stack = ValuationStack(instance.valuations)
+    X, _, iters = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
+    M, _ = _scaled_marginals(stack, X, 0.0)
     q = _holder_mean(M, X)
-    residual = kkt_residual(vals, 0.0, X, q)
+    residual = kkt_residual(instance.valuations, 0.0, X, q)
     if residual > tolerance:
         raise DidNotConverge(
             f"threshold-pricing residual {residual:.3e} above {tolerance:.1e}"

@@ -10,24 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def project_capped_simplex(z: np.ndarray, cap: float = 1.0) -> np.ndarray:
-    """Euclidean projection of z onto {y >= 0, sum(y) <= cap}.
-
-    Clipping at zero is exact when the clipped point already fits under the
-    cap; otherwise the projection lands on the face sum(y) = cap, found with
-    the usual sort-and-threshold rule.
-    """
-    y = np.maximum(z, 0.0)
-    if y.sum() <= cap:
-        return y
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - cap
-    idx = np.arange(1, z.shape[0] + 1)
-    k = idx[u - css / idx > 0][-1]
-    tau = css[k - 1] / k
-    return np.maximum(z - tau, 0.0)
-
-
 def ellipsoid_minimize(
     objective,
     separation,

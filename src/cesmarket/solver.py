@@ -20,7 +20,8 @@ the smooth program goes through one kernel, _scaled_marginals: the
 allocation is supported by the convex price rule exactly when each held
 coordinate's scaled marginal v_i**(e-1) * dv_i/dx_ij equals q_j and each
 unheld one is at most q_j.  Its derivative, _marginal_jacobian, supplies the
-Newton steps.
+Newton steps.  Both, and the search objective, evaluate all agents at once
+through one ValuationStack built per solve.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from .errors import (
     TooLarge,
     UnsupportedValuation,
 )
-from .valuations import DEGREE_TOL, CesForm, CobbDouglas, Leontief, Valuation
+from .valuations import (
+    DEGREE_TOL,
+    CesForm,
+    CobbDouglas,
+    Leontief,
+    Valuation,
+    ValuationStack,
+)
 from .welfare import (
     WelfareParams,
     ces_objective,
@@ -106,7 +114,7 @@ class Instance:
 
     def values_at(self, allocation) -> np.ndarray:
         X = as_allocation(allocation, self.n, self.m)
-        return np.array([v.value(X[i]) for i, v in enumerate(self.valuations)])
+        return ValuationStack(self.valuations).values(X)
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def closed_form_single_good(weights, degree: float, rho: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_marginals(vals, X, e, weights=None):
+def _scaled_marginals(stack, X, e, weights=None):
     """Scaled marginals a_i * v_i**(e-1) * dv_i/dx_ij over an (n, m) allocation.
 
     The exponent picks the program: e = rho is the CES program, e = 0 the
@@ -198,22 +206,15 @@ def _scaled_marginals(vals, X, e, weights=None):
     with e < 1 gives an infinite factor, so every positive partial of that
     row reads +inf while goods the agent does not value keep marginal 0.
     """
-    n, m = X.shape
-    G = np.empty((n, m))
-    div = np.empty((n, m), dtype=bool)
-    V = np.empty(n)
-    for i, v in enumerate(vals):
-        g, ok = v.partials(X[i])
-        G[i] = np.where(ok, g, np.nan)
-        div[i] = ~ok
-        V[i] = v.value(X[i])
+    G, ok = stack.partials(X)
+    G[~ok] = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        M = scaled_gradient(G, V, e, weights)
+        M = scaled_gradient(G, stack.values(X), e, weights)
     M[G == 0.0] = 0.0
-    return M, div
+    return M, ~ok
 
 
-def _marginal_jacobian(vals, X, e):
+def _marginal_jacobian(stack, X, e):
     """Per-agent blocks of the Jacobian of _scaled_marginals (weights 1).
 
     Block i is d M_i / d x_i = (e-1) v_i**(e-2) g_i g_i^T + v_i**(e-1) H_i
@@ -221,14 +222,9 @@ def _marginal_jacobian(vals, X, e):
     depend on other agents' bundles.  Returns an (n, m, m) array.  Entries
     are not finite where v_i = 0 or a partial diverges.
     """
-    n, m = X.shape
-    G = np.empty((n, m))
-    H = np.empty((n, m, m))
-    V = np.empty(n)
-    for i, v in enumerate(vals):
-        G[i], _ = v.partials(X[i])
-        H[i] = v.hessian(X[i])
-        V[i] = v.value(X[i])
+    G, _ = stack.partials(X)
+    H = stack.hessians(X)
+    V = stack.values(X)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_gg = ((e - 1.0) * V ** (e - 2.0))[:, None, None]
         c_h = (V ** (e - 1.0))[:, None, None]
@@ -272,7 +268,7 @@ def _stationarity_residual(vals, X, q, e, weights=None):
     value per unit cost minus 1 is the residual on the waived coordinates.
     Returns (residual, waived coordinate list).
     """
-    M, div = _scaled_marginals(vals, X, e, weights)
+    M, div = _scaled_marginals(ValuationStack(vals), X, e, weights)
     with np.errstate(invalid="ignore"):
         E = M - q
         gap = np.where(X > 0.0, np.abs(E), np.maximum(E, 0.0))
@@ -311,18 +307,6 @@ def kkt_residual(vals, rho, X, q):
 # ---------------------------------------------------------------------------
 
 
-def _floored_query(vals, e, X):
-    """Ascent gradient of the objective from valuation gradients alone.
-
-    Bundles are floored at a tiny interior point before the gradient query
-    so boundary singularities stay finite; values come from the gradients
-    through homogeneity (welfare.implied_scaled_gradient).
-    """
-    Xe = np.maximum(X, _GRAD_POINT_FLOOR)
-    G = np.stack([v.gradient(Xe[i]) for i, v in enumerate(vals)])
-    return implied_scaled_gradient(G, Xe, vals[0].degree, e)[1]
-
-
 def _tracking_objective(V, e):
     """Objective at values V for best-iterate tracking; surrogate near zero values."""
     if e < 1.0 and V.min() < VALUE_FLOOR:
@@ -332,14 +316,17 @@ def _tracking_objective(V, e):
     return float((V**e).sum() / e)
 
 
-def _ellipsoid_phase(vals, e, tolerance, max_iters):
+def _ellipsoid_phase(stack, e, tolerance, max_iters):
     """Central-cut ellipsoid search for an approximate optimum.
 
-    Cuts come from gradient queries at floored bundles; the best iterate is
-    tracked with true values, so the search queries both gradients and
-    values.
+    The best iterate is tracked with true values.  Cuts come from the
+    objective's ascent gradient, built from valuation gradients alone: the
+    bundles are floored at a tiny interior point first, so boundary
+    singularities stay finite, and the values come from the gradients
+    through homogeneity (welfare.implied_scaled_gradient).
     """
-    n, m = len(vals), vals[0].m
+    n, m = stack.n, stack.m
+    r = stack.valuations[0].degree
     d = n * m
     cut_template = np.zeros((n, m))
 
@@ -359,9 +346,10 @@ def _ellipsoid_phase(vals, e, tolerance, max_iters):
 
     def objective(z):
         X = np.maximum(z.reshape(n, m), 0.0)
-        V = np.array([v.value(X[i]) for i, v in enumerate(vals)])
-        f = -_tracking_objective(V, e)
-        g = -_floored_query(vals, e, X)
+        f = -_tracking_objective(stack.values(X), e)
+        Xe = np.maximum(X, _GRAD_POINT_FLOOR)
+        G, _ = stack.partials(Xe)
+        g = -implied_scaled_gradient(G, Xe, r, e)[1]
         return f, g.ravel()
 
     center = np.full(d, 1.0 / (2 * n))
@@ -397,14 +385,14 @@ def _support_point(support, pr, z):
     return X, q
 
 
-def _newton_residual(vals, e, support, pr, z):
+def _newton_residual(stack, e, support, pr, z):
     """Scaled marginal minus q_j on the support, then sum_i x_ij - 1 on pr."""
     X, q = _support_point(support, pr, z)
-    M, _ = _scaled_marginals(vals, X, e)
+    M, _ = _scaled_marginals(stack, X, e)
     return np.concatenate([(M - q)[support], X.sum(axis=0)[pr] - 1.0])
 
 
-def _newton_jacobian(vals, e, support, pr, z):
+def _newton_jacobian(stack, e, support, pr, z):
     """Exact Jacobian of _newton_residual at z.
 
     The x-block is block diagonal by agent, from _marginal_jacobian; q
@@ -415,7 +403,7 @@ def _newton_jacobian(vals, e, support, pr, z):
     rows, cols = np.nonzero(support)      # the order of X[support]
     on_good = (cols[:, None] == pr[None, :]).astype(float)
     X, _ = _support_point(support, pr, z)
-    B = _marginal_jacobian(vals, X, e)
+    B = _marginal_jacobian(stack, X, e)
     J = np.zeros((n_x + pr.size, n_x + pr.size))
     J[:n_x, :n_x] = np.where(
         rows[:, None] == rows[None, :], B[rows[:, None], cols[:, None], cols], 0.0
@@ -466,7 +454,7 @@ def _damped_newton(F, J, z, n_pos, rtol, max_steps):
     return z, steps
 
 
-def _newton_system(vals, e, support, priced, X_init):
+def _newton_system(stack, e, support, priced, X_init):
     """Solve the equality system on a fixed support by exact-Jacobian Newton.
 
     Unknowns: x on the support coordinates and q on the priced goods.
@@ -483,11 +471,11 @@ def _newton_system(vals, e, support, priced, X_init):
     xs0 = np.maximum(X_init[support], 1e-6)
     X = np.zeros((n, m))
     X[support] = xs0
-    M, _ = _scaled_marginals(vals, X, e)
+    M, _ = _scaled_marginals(stack, X, e)
     qs0 = _holder_mean(M, X, empty=1.0)[pr]
     z, its = _damped_newton(
-        lambda zz: _newton_residual(vals, e, support, pr, zz),
-        lambda zz: _newton_jacobian(vals, e, support, pr, zz),
+        lambda zz: _newton_residual(stack, e, support, pr, zz),
+        lambda zz: _newton_jacobian(stack, e, support, pr, zz),
         np.concatenate([xs0, qs0]),
         n_x,
         1e-12,
@@ -502,7 +490,7 @@ def _newton_system(vals, e, support, priced, X_init):
     return X, q, its
 
 
-def _kkt_refine(vals, e, X0, *, max_rounds=40):
+def _kkt_refine(stack, e, X0, *, max_rounds=40):
     """Polish an approximate optimum to the first-order system's root.
 
     Picks the support from the search-phase iterate (forcing coordinates
@@ -511,6 +499,7 @@ def _kkt_refine(vals, e, X0, *, max_rounds=40):
     out and adding profitable ones until the full system is consistent.
     """
     n, m = X0.shape
+    vals = stack.valuations
     valued = np.stack([v.valued_goods() for v in vals])
     priced = valued.any(axis=0)
     divergent = np.stack([v.divergent_at_zero() for v in vals]) & valued
@@ -551,9 +540,9 @@ def _kkt_refine(vals, e, X0, *, max_rounds=40):
         if key in seen:
             break
         seen.add(key)
-        X, q, its = _newton_system(vals, e, support, priced, X0)
+        X, q, its = _newton_system(stack, e, support, priced, X0)
         iters += its
-        M, _ = _scaled_marginals(vals, X, e)
+        M, _ = _scaled_marginals(stack, X, e)
         E = M - q
         if e == 1.0:
             # With linear prices an agent whose bundle is worth less than it
@@ -561,12 +550,13 @@ def _kkt_refine(vals, e, X0, *, max_rounds=40):
             # from handing its mass to the price-setting holders.  Equality
             # supports satisfy v = deg * q.x, so a 0.1% deficit only appears
             # when Newton stalled on a dominated agent.
+            V = stack.values(X)
             starve = np.zeros(n, dtype=bool)
             for i in range(n):
                 if not support[i].any():
                     continue
                 cost = float(q @ X[i])
-                if cost > 0.0 and vals[i].value(X[i]) < cost * (1.0 - 1e-3):
+                if cost > 0.0 and V[i] < cost * (1.0 - 1e-3):
                     starve[i] = True
             if starve.any():
                 support[starve] = False
@@ -604,15 +594,15 @@ def _check_budget(tolerance, max_iters):
         raise BadParameter("max_iters must be at least 1")
 
 
-def _solve_smooth(vals, e, *, tolerance, max_iters):
+def _solve_smooth(stack, e, *, tolerance, max_iters):
     """Search then refine the program with exponent e (0 for the log program)."""
-    for v in vals:
+    for v in stack.valuations:
         if isinstance(v, Leontief):
             raise UnsupportedValuation(
                 "Leontief valuations have no gradient; use solve_leontief"
             )
-    X0, it1 = _ellipsoid_phase(vals, e, tolerance, max_iters)
-    X, q, it2 = _kkt_refine(vals, e, X0)
+    X0, it1 = _ellipsoid_phase(stack, e, tolerance, max_iters)
+    X, q, it2 = _kkt_refine(stack, e, X0)
     return X, q, it1 + it2
 
 
@@ -629,12 +619,12 @@ def solve_ces(
     residual exceeds `tolerance`.
     """
     _check_budget(tolerance, max_iters)
-    vals = instance.valuations
+    stack = ValuationStack(instance.valuations)
     X, q, iters = _solve_smooth(
-        vals, instance.rho, tolerance=tolerance, max_iters=max_iters
+        stack, instance.rho, tolerance=tolerance, max_iters=max_iters
     )
-    residual = kkt_residual(vals, instance.rho, X, q)
-    values = np.array([v.value(X[i]) for i, v in enumerate(vals)])
+    residual = kkt_residual(instance.valuations, instance.rho, X, q)
+    values = stack.values(X)
     objective = ces_objective(WelfareParams(instance.rho), values)
     result = SolveResult(
         allocation=X,
@@ -663,7 +653,7 @@ def extract_multipliers(
     disagree by more than 10x the allowed relative spread.
     """
     X = as_allocation(allocation, instance.n, instance.m)
-    M, _ = _scaled_marginals(instance.valuations, X, instance.rho)
+    M, _ = _scaled_marginals(ValuationStack(instance.valuations), X, instance.rho)
     held = X > _HOLDER_EPS
     q = _holder_mean(M, X)
     for j in np.flatnonzero(held.any(axis=0)):

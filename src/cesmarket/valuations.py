@@ -6,11 +6,25 @@ degree r in (0, 1]: v(t * x) = t**r * v(x).  The degree is validated
 numerically at construction.  Gradients are exact where they exist;
 divergent boundary partials are reported as errors, never as infinities.
 Hessians are exact wherever every partial is finite.
+
+Each closed form is written once, in an agent-stacked kernel.  A kind's
+static _values, _partials and _hessians take its stacked parameters
+(from _stack) and a (k, m) array whose row i is agent i's bundle.  They
+return the k values, the (k, m) partials with their finiteness mask, or
+the (k, m, m) Hessians; Leontief has values only.  The public one-bundle
+methods value, partials and hessian check the bundle with as_bundle, then
+run the same kernel on one row.  ValuationStack groups a market's agents
+by kind, and by the scalars a kind's kernels take (sigma and degree for
+CES, the degree for power).  It evaluates every agent with one kernel
+call per group and no validation; the solver builds one per solve.
+values_batch, one agent's values over many bundles, is the grid oracle's
+path and keeps its own form.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +64,27 @@ def as_bundle(x, m: int | None = None) -> np.ndarray:
     return arr
 
 
+def _row_dot(A, B):
+    """Row-wise dot products of two (k, m) arrays.
+
+    A stacked matmul: each entry equals the one-row A[i] @ B[i] bit for bit,
+    which einsum and (A * B).sum(1) do not.
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _row_pow(S, p):
+    """S[i] ** p with the scalar pow, one entry at a time.
+
+    Powers of a per-agent scalar (a CES inner sum, a power agent's holding)
+    keep the scalar pow the formulas have always used: numpy's vectorised
+    pow differs from it in the last bit on about 5% of inputs, and the
+    ellipsoid search turns last-bit changes into different iterates.
+    Elementwise powers of bundle arrays are vectorised; those match.
+    """
+    return np.array([s**p for s in S], dtype=float)
+
+
 class Valuation(ABC):
     """One agent's valuation over m divisible goods."""
 
@@ -65,33 +100,29 @@ class Valuation(ABC):
 
     # -- required per-kind operations -------------------------------------
 
+    @classmethod
     @abstractmethod
-    def value(self, x) -> float:
-        """v(x) for a single bundle."""
+    def _stack(cls, members) -> tuple:
+        """Kernel parameters of same-group members, stacked row by row."""
+
+    @staticmethod
+    @abstractmethod
+    def _values(P, X) -> np.ndarray:
+        """Values of the k agents with stacked parameters P at the rows of X."""
+
+    @staticmethod
+    @abstractmethod
+    def _partials(P, X) -> tuple[np.ndarray, np.ndarray]:
+        """(G, ok) of shape (k, m) at the rows of X, as partials() per row."""
+
+    @staticmethod
+    @abstractmethod
+    def _hessians(P, X) -> np.ndarray:
+        """(k, m, m) second partials at the rows of X, as hessian() per row."""
 
     @abstractmethod
     def values_batch(self, X: np.ndarray) -> np.ndarray:
         """Vectorized v over rows of an (k, m) array.  No validation."""
-
-    @abstractmethod
-    def partials(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient with a finiteness mask.
-
-        Returns (g, ok) where g[j] is the partial derivative when ok[j] is
-        True and np.inf when the partial diverges at a zero coordinate.
-        Raises NotDifferentiable for kinds with no gradient at all.
-        """
-
-    @abstractmethod
-    def hessian(self, x) -> np.ndarray:
-        """(m, m) matrix of second partials at x.
-
-        Exact wherever partials() reports every partial finite.  Entries
-        whose row and column both belong to divergent partials are not
-        finite (never an exception), and entries between finite partials
-        stay exact.  Raises NotDifferentiable for kinds with no gradient at
-        all.
-        """
 
     @abstractmethod
     def valued_goods(self) -> np.ndarray:
@@ -102,6 +133,41 @@ class Valuation(ABC):
         """JSON-ready parameter fragment for this valuation."""
 
     # -- shared behaviour ---------------------------------------------------
+
+    def _group(self):
+        """Agents with equal keys stack into one kernel call: one kind, and
+        one value of each scalar the kind's kernels take."""
+        return (type(self),)
+
+    @cached_property
+    def _row(self):
+        """This agent's kernel parameters, stacked as a group of one."""
+        return self._stack([self])
+
+    def value(self, x) -> float:
+        """v(x) for a single bundle."""
+        return float(self._values(self._row, as_bundle(x, self.m)[None])[0])
+
+    def partials(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient with a finiteness mask.
+
+        Returns (g, ok) where g[j] is the partial derivative when ok[j] is
+        True and np.inf when the partial diverges at a zero coordinate.
+        Raises NotDifferentiable for kinds with no gradient at all.
+        """
+        G, ok = self._partials(self._row, as_bundle(x, self.m)[None])
+        return G[0], ok[0]
+
+    def hessian(self, x) -> np.ndarray:
+        """(m, m) matrix of second partials at x.
+
+        Exact wherever partials() reports every partial finite.  Entries
+        whose row and column both belong to divergent partials are not
+        finite (never an exception), and entries between finite partials
+        stay exact.  Raises NotDifferentiable for kinds with no gradient at
+        all.
+        """
+        return self._hessians(self._row, as_bundle(x, self.m)[None])[0]
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient of v at x.
@@ -161,19 +227,25 @@ class Linear(Valuation):
         self.weights.flags.writeable = False
         self._check_homogeneity()
 
-    def value(self, x):
-        return float(self.weights @ as_bundle(x, self.m))
+    @classmethod
+    def _stack(cls, members):
+        return (np.stack([v.weights for v in members]),)
+
+    @staticmethod
+    def _values(P, X):
+        return _row_dot(P[0], X)
+
+    @staticmethod
+    def _partials(P, X):
+        return P[0].copy(), np.ones(X.shape, dtype=bool)
+
+    @staticmethod
+    def _hessians(P, X):
+        k, m = X.shape
+        return np.zeros((k, m, m))
 
     def values_batch(self, X):
         return X @ self.weights
-
-    def partials(self, x):
-        as_bundle(x, self.m)
-        return self.weights.copy(), np.ones(self.m, dtype=bool)
-
-    def hessian(self, x):
-        as_bundle(x, self.m)
-        return np.zeros((self.m, self.m))
 
     def valued_goods(self):
         return self.weights > 0
@@ -195,29 +267,39 @@ class Power(Valuation):
         self.weight = w
         self._check_homogeneity()
 
-    def value(self, x):
-        xb = as_bundle(x, 1)
-        return float(self.weight * xb[0] ** self.degree)
+    def _group(self):
+        return (Power, self.degree)
+
+    @classmethod
+    def _stack(cls, members):
+        return np.array([v.weight for v in members]), members[0].degree
+
+    @staticmethod
+    def _values(P, X):
+        w, r = P
+        return w * _row_pow(X[:, 0], r)
+
+    @staticmethod
+    def _partials(P, X):
+        w, r = P
+        if r == 1.0:
+            return w[:, None].copy(), np.ones(X.shape, dtype=bool)
+        zero = X == 0.0
+        with np.errstate(divide="ignore"):
+            G = (w * r * _row_pow(X[:, 0], r - 1.0))[:, None]
+        G[zero] = np.inf
+        return G, ~zero
+
+    @staticmethod
+    def _hessians(P, X):
+        w, r = P
+        if r == 1.0:
+            return np.zeros((X.shape[0], 1, 1))
+        with np.errstate(divide="ignore"):
+            return (w * r * (r - 1.0) * _row_pow(X[:, 0], r - 2.0))[:, None, None]
 
     def values_batch(self, X):
         return self.weight * X[:, 0] ** self.degree
-
-    def partials(self, x):
-        xb = as_bundle(x, 1)
-        if self.degree == 1.0:
-            return np.array([self.weight]), np.ones(1, dtype=bool)
-        if xb[0] == 0.0:
-            return np.array([np.inf]), np.zeros(1, dtype=bool)
-        g = self.weight * self.degree * xb[0] ** (self.degree - 1.0)
-        return np.array([g]), np.ones(1, dtype=bool)
-
-    def hessian(self, x):
-        xb = as_bundle(x, 1)
-        r = self.degree
-        if r == 1.0:
-            return np.zeros((1, 1))
-        with np.errstate(divide="ignore"):
-            return np.array([[self.weight * r * (r - 1.0) * xb[0] ** (r - 2.0)]])
 
     def valued_goods(self):
         return np.array([True])
@@ -256,41 +338,49 @@ class CobbDouglas(Valuation):
         self._active = e > 0
         self._check_homogeneity()
 
-    def value(self, x):
-        xb = as_bundle(x, self.m)
-        sel = self._active
-        return float(self.scale * np.prod(xb[sel] ** self.exponents[sel]))
+    @classmethod
+    def _stack(cls, members):
+        return (
+            np.stack([v.exponents for v in members]),
+            np.array([v.scale for v in members]),
+        )
+
+    @staticmethod
+    def _values(P, X):
+        # x**0 = 1 exactly, so goods with a zero exponent drop out of the product
+        E, c = P
+        return c * np.prod(X**E, axis=1)
+
+    @staticmethod
+    def _partials(P, X):
+        # at a zero active coordinate v vanishes on that slice: partials along
+        # goods with x_j > 0 are zero and those at the zero coordinates diverge
+        E = P[0]
+        zero = (E > 0.0) & (X == 0.0)
+        smooth = (E > 0.0) & ~zero.any(axis=1, keepdims=True)
+        V = CobbDouglas._values(P, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G = np.where(smooth, E * V[:, None] / X, 0.0)
+        G[zero] = np.inf
+        return G, ~zero
+
+    @staticmethod
+    def _hessians(P, X):
+        # v * (e e^T - diag e) / (x x^T) on the active goods
+        E = P[0]
+        m = E.shape[1]
+        active = E > 0.0
+        V = CobbDouglas._values(P, X)
+        EE = E[:, :, None] * E[:, None, :]
+        diag = np.arange(m)
+        EE[:, diag, diag] -= E
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H = V[:, None, None] * EE / (X[:, :, None] * X[:, None, :])
+        return np.where(active[:, :, None] & active[:, None, :], H, 0.0)
 
     def values_batch(self, X):
         sel = self._active
         return self.scale * np.prod(X[:, sel] ** self.exponents[sel], axis=1)
-
-    def partials(self, x):
-        xb = as_bundle(x, self.m)
-        g = np.zeros(self.m)
-        ok = np.ones(self.m, dtype=bool)
-        sel = self._active
-        zero_active = sel & (xb == 0.0)
-        if zero_active.any():
-            # v vanishes on this slice, so partials along goods with x_j > 0
-            # are zero; the partials at the zero coordinates diverge.
-            g[zero_active] = np.inf
-            ok[zero_active] = False
-            return g, ok
-        v = self.value(xb)
-        g[sel] = self.exponents[sel] * v / xb[sel]
-        return g, ok
-
-    def hessian(self, x):
-        # v * (e e^T - diag e) / (x x^T) on the active goods
-        xb = as_bundle(x, self.m)
-        sel = self._active
-        e, xs = self.exponents[sel], xb[sel]
-        v = self.scale * np.prod(xs**e)
-        H = np.zeros((self.m, self.m))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            H[np.ix_(sel, sel)] = v * (np.outer(e, e) - np.diag(e)) / np.outer(xs, xs)
-        return H
 
     def valued_goods(self):
         return self._active.copy()
@@ -328,68 +418,68 @@ class CesForm(Valuation):
         self.sigma = s
         self._check_homogeneity()
 
-    def _inner(self, xb):
-        sel = self.weights > 0
-        return float(self.weights[sel] @ xb[sel] ** self.sigma)
+    def _group(self):
+        return (CesForm, self.sigma, self.degree)
 
-    def value(self, x):
-        xb = as_bundle(x, self.m)
-        S = self._inner(xb)
-        return float(S ** (self.degree / self.sigma))
+    @classmethod
+    def _stack(cls, members):
+        return np.stack([v.weights for v in members]), members[0].sigma, members[0].degree
+
+    @staticmethod
+    def _inner(W, s, X):
+        """S = sum_j w_j x_j**s per row."""
+        return _row_dot(W, X**s)
+
+    @staticmethod
+    def _values(P, X):
+        W, s, r = P
+        return _row_pow(CesForm._inner(W, s, X), r / s)
+
+    @staticmethod
+    def _partials(P, X):
+        # The partial along a valued good is r w_j x_j**(s-1) S**((r-s)/s)
+        # with S = sum_j w_j x_j**s.  It diverges at x_j = 0 when s < 1, and
+        # at S = 0 when s = 1 and r < 1; at s = r = 1 the form is linear.
+        W, s, r = P
+        valued = W > 0.0
+        S = CesForm._inner(W, s, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if s < 1.0:
+                G = r * W * X ** (s - 1.0) * _row_pow(S, (r - s) / s)[:, None]
+                div = valued & (X == 0.0)
+            else:
+                G = r * W * _row_pow(S, r - 1.0)[:, None]
+                div = valued & (S == 0.0)[:, None] & (r < 1.0)
+        G = np.where(valued & ~div, G, 0.0)
+        G[div] = np.inf
+        return G, ~div
+
+    @staticmethod
+    def _hessians(P, X):
+        # r(r-s) S**(r/s-2) u u^T + diag(r(s-1) S**(r/s-1) w x**(s-2)) on the
+        # valued goods, u = w x**(s-1); the diagonal term vanishes at s = 1.
+        W, s, r = P
+        k, m = X.shape
+        if r == 1.0 and s == 1.0:
+            return np.zeros((k, m, m))
+        valued = W > 0.0
+        S = CesForm._inner(W, s, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U = W * X ** (s - 1.0)
+            H = (r * (r - s) * _row_pow(S, r / s - 2.0))[:, None, None] * (
+                U[:, :, None] * U[:, None, :]
+            )
+            if s < 1.0:
+                diag = np.arange(m)
+                H[:, diag, diag] += (
+                    (r * (s - 1.0) * _row_pow(S, r / s - 1.0))[:, None] * W * X ** (s - 2.0)
+                )
+        return np.where(valued[:, :, None] & valued[:, None, :], H, 0.0)
 
     def values_batch(self, X):
         sel = self.weights > 0
         S = X[:, sel] ** self.sigma @ self.weights[sel]
         return S ** (self.degree / self.sigma)
-
-    def partials(self, x):
-        xb = as_bundle(x, self.m)
-        r, s = self.degree, self.sigma
-        sel = self.weights > 0
-        g = np.zeros(self.m)
-        ok = np.ones(self.m, dtype=bool)
-        S = self._inner(xb)
-        if S == 0.0:
-            # Every valued coordinate is zero.  With sigma = 1 and r = 1 the
-            # function is linear and the gradient survives; otherwise the
-            # partials at the valued coordinates diverge.
-            if s == 1.0 and r == 1.0:
-                g[sel] = self.weights[sel]
-                return g, ok
-            g[sel] = np.inf
-            ok[sel] = False
-            return g, ok
-        if s < 1.0:
-            zero_valued = sel & (xb == 0.0)
-            if zero_valued.any():
-                g[zero_valued] = np.inf
-                ok[zero_valued] = False
-            pos = sel & (xb > 0.0)
-            g[pos] = r * self.weights[pos] * xb[pos] ** (s - 1.0) * S ** ((r - s) / s)
-            return g, ok
-        # sigma = 1: smooth in each coordinate as long as S > 0.
-        g[sel] = r * self.weights[sel] * S ** (r - 1.0)
-        return g, ok
-
-    def hessian(self, x):
-        # r(r-s) S**(r/s-2) u u^T + diag(r(s-1) S**(r/s-1) w x**(s-2)) on the
-        # valued goods, u = w x**(s-1); the diagonal term vanishes at s = 1.
-        xb = as_bundle(x, self.m)
-        r, s = self.degree, self.sigma
-        sel = self.weights > 0
-        w, xs = self.weights[sel], xb[sel]
-        # a numpy scalar, so S = 0 gives inf under errstate, not ZeroDivisionError
-        S = np.float64(self._inner(xb))
-        H = np.zeros((self.m, self.m))
-        if r == 1.0 and s == 1.0:
-            return H
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = w * xs ** (s - 1.0)
-            block = r * (r - s) * S ** (r / s - 2.0) * np.outer(u, u)
-            if s < 1.0:
-                block += np.diag(r * (s - 1.0) * S ** (r / s - 1.0) * w * xs ** (s - 2.0))
-        H[np.ix_(sel, sel)] = block
-        return H
 
     def valued_goods(self):
         return self.weights > 0
@@ -426,29 +516,77 @@ class Leontief(Valuation):
         self.weights.flags.writeable = False
         self._check_homogeneity()
 
-    def value(self, x):
-        xb = as_bundle(x, self.m)
-        sel = self.weights > 0
-        return float(np.min(xb[sel] / self.weights[sel]))
+    @classmethod
+    def _stack(cls, members):
+        return (np.stack([v.weights for v in members]),)
+
+    @staticmethod
+    def _values(P, X):
+        W = P[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.min(np.where(W > 0.0, X / W, np.inf), axis=1)
+
+    @staticmethod
+    def _partials(P, X):
+        raise NotDifferentiable("Leontief valuations have no gradient")
+
+    _hessians = _partials
 
     def values_batch(self, X):
         sel = self.weights > 0
         return np.min(X[:, sel] / self.weights[sel], axis=1)
-
-    def partials(self, x):
-        raise NotDifferentiable("Leontief valuations have no gradient")
-
-    def hessian(self, x):
-        raise NotDifferentiable("Leontief valuations have no gradient")
-
-    def gradient(self, x):
-        raise NotDifferentiable("Leontief valuations have no gradient")
 
     def valued_goods(self):
         return self.weights > 0
 
     def to_json(self):
         return {"kind": self.kind, "weights": [float(w) for w in self.weights]}
+
+
+class ValuationStack:
+    """A market's valuations grouped for agent-stacked evaluation.
+
+    Agents whose parameters stack (one kind and degree, and for CES one
+    sigma) form a group.  Each method evaluates every group with its kind's
+    kernel on the group's rows of an (n, m) allocation and scatters the
+    results back into agent order.  No validation, and no per-agent Python
+    work: build it once and evaluate it many times.
+    """
+
+    def __init__(self, valuations):
+        self.valuations = tuple(valuations)
+        self.n, self.m = len(self.valuations), self.valuations[0].m
+        groups = {}
+        for i, v in enumerate(self.valuations):
+            groups.setdefault(v._group(), []).append(i)
+        self._groups = []
+        for rows in groups.values():
+            members = [self.valuations[i] for i in rows]
+            # a single group covers every agent in order: no gather or scatter
+            index = slice(None) if len(rows) == self.n else np.array(rows)
+            self._groups.append((type(members[0]), index, type(members[0])._stack(members)))
+
+    def values(self, X) -> np.ndarray:
+        """(n,) values, agent i at row i of X."""
+        V = np.empty(self.n)
+        for cls, rows, P in self._groups:
+            V[rows] = cls._values(P, X[rows])
+        return V
+
+    def partials(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m) partials and finiteness mask, as Valuation.partials per row."""
+        G = np.empty((self.n, self.m))
+        ok = np.empty((self.n, self.m), dtype=bool)
+        for cls, rows, P in self._groups:
+            G[rows], ok[rows] = cls._partials(P, X[rows])
+        return G, ok
+
+    def hessians(self, X) -> np.ndarray:
+        """(n, m, m) Hessians, as Valuation.hessian per row."""
+        H = np.empty((self.n, self.m, self.m))
+        for cls, rows, P in self._groups:
+            H[rows] = cls._hessians(P, X[rows])
+        return H
 
 
 # -- module-level operations -------------------------------------------------

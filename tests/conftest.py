@@ -3,13 +3,19 @@
 Random instances are drawn from a seeded generator so every run sees the
 same cases.  All agents of an instance share one homogeneity degree; kinds
 are chosen so the degree constraint stays satisfiable (linear only at
-degree 1, power only for one good).
+degree 1, power only for one good).  Property tests run under a
+derandomized Hypothesis profile: every run draws the same examples and
+keeps no example database.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cesmarket import CesForm, CobbDouglas, Instance, Linear, Power
+
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 RHO_CHOICES = (0.25, 0.5, 0.75, 1.0)
 

@@ -1,51 +1,9 @@
-"""Projection and ellipsoid engine checks."""
+"""Ellipsoid engine checks."""
 
 import numpy as np
 import pytest
 
-from cesmarket.ellipsoid import ellipsoid_minimize, project_capped_simplex
-
-
-def is_feasible(y, cap):
-    return np.all(y >= 0) and y.sum() <= cap + 1e-12
-
-
-def test_projection_examples():
-    np.testing.assert_allclose(project_capped_simplex(np.array([0.2, 0.3])), [0.2, 0.3])
-    np.testing.assert_allclose(
-        project_capped_simplex(np.array([-0.5, 0.4])), [0.0, 0.4]
-    )
-    # over the cap: mass is shifted down uniformly on the support
-    np.testing.assert_allclose(
-        project_capped_simplex(np.array([0.8, 0.8])), [0.5, 0.5]
-    )
-    np.testing.assert_allclose(
-        project_capped_simplex(np.array([2.0, 0.0]), cap=1.0), [1.0, 0.0]
-    )
-
-
-def test_projection_is_nearest_feasible_point(rng):
-    # oracle: the projection must beat every random feasible candidate
-    for _ in range(200):
-        d = int(rng.integers(1, 7))
-        cap = float(rng.uniform(0.5, 2.0))
-        z = rng.uniform(-2.0, 2.0, d)
-        p = project_capped_simplex(z, cap)
-        assert is_feasible(p, cap)
-        dp = np.sum((p - z) ** 2)
-        for _cand in range(20):
-            c = rng.uniform(0.0, 1.0, d)
-            s = c.sum()
-            if s > cap:
-                c = c * (cap / s)
-            assert dp <= np.sum((c - z) ** 2) + 1e-10
-
-
-def test_projection_idempotent(rng):
-    for _ in range(50):
-        z = rng.uniform(-1.0, 2.0, int(rng.integers(1, 6)))
-        p = project_capped_simplex(z)
-        np.testing.assert_allclose(project_capped_simplex(p), p, atol=1e-12)
+from cesmarket.ellipsoid import ellipsoid_minimize
 
 
 def test_ellipsoid_on_quadratic():

@@ -31,6 +31,7 @@ from cesmarket.solver import (
     as_allocation,
     kkt_residual,
 )
+from cesmarket.valuations import ValuationStack
 
 from conftest import random_instance, water_instance
 
@@ -221,28 +222,47 @@ def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
     assert res.max_kkt_residual <= 1e-8
 
 
-@pytest.mark.parametrize("e", [0.5, 0.0, 1.0])
-def test_newton_jacobian_matches_finite_differences(e):
-    rng = np.random.default_rng(5)
-    vals = (
+# Agent 1 keeps its valued goods on the support and agent 3 has a coordinate
+# held at the floor.  The degree-1 market mixes three kinds, and its CES
+# group is agents 0 and 3, so the stacked blocks must scatter back to them.
+NEWTON_MARKETS = {
+    "ces-cd-0.7": (
         CesForm([1.0, 2.0, 0.5], 0.5, 0.7),
         CobbDouglas([0.3, 0.0, 0.4]),
         CesForm([0.8, 1.5, 0.0], 1.0, 0.7),
         CesForm([1.0, 0.3, 2.0], 0.6, 0.7),
-    )
+    ),
+    "linear-ces-cd-1": (
+        CesForm([1.0, 2.0, 0.5], 0.6, 1.0),
+        CobbDouglas([0.3, 0.0, 0.7]),
+        Linear([0.8, 1.5, 0.0]),
+        CesForm([1.0, 0.3, 2.0], 0.6, 1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "e, market",
+    [pytest.param(e, "ces-cd-0.7", id=str(e)) for e in (0.5, 0.0, 1.0)]
+    + [pytest.param(e, "linear-ces-cd-1", id=f"{e}-linear-ces-cd-1") for e in (0.5, 0.0, 1.0)],
+)
+def test_newton_jacobian_matches_finite_differences(e, market):
+    rng = np.random.default_rng(5)
+    vals = NEWTON_MARKETS[market]
+    stack = ValuationStack(vals)
     support = np.stack([v.valued_goods() for v in vals]) & (rng.random((4, 3)) < 0.8)
     support[1] = vals[1].valued_goods()
     pr = np.array([0, 2])
     z = np.concatenate([rng.uniform(0.1, 0.6, int(support.sum())), [0.7, 1.3]])
     floored = int(np.flatnonzero(np.nonzero(support)[0] == 3)[0])
     z[floored] = 0.0  # held at the floor: F does not move with it
-    J = _newton_jacobian(vals, e, support, pr, z)
+    J = _newton_jacobian(stack, e, support, pr, z)
     fd = np.empty_like(J)
     for k in range(z.shape[0]):
         dz = np.zeros_like(z)
         dz[k] = 1e-14 if k == floored else 1e-6  # the floor sits at 1e-13
-        F_plus = _newton_residual(vals, e, support, pr, z + dz)
-        F_minus = _newton_residual(vals, e, support, pr, z - dz)
+        F_plus = _newton_residual(stack, e, support, pr, z + dz)
+        F_minus = _newton_residual(stack, e, support, pr, z - dz)
         fd[:, k] = (F_plus - F_minus) / (2 * dz[k])
     assert not J[:, floored].any()
     np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-5)

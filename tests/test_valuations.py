@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cesmarket import (
     BadParameter,
@@ -15,7 +17,7 @@ from cesmarket import (
     Power,
     euler_residual,
 )
-from cesmarket.valuations import DEGREE_TOL, as_bundle, from_json
+from cesmarket.valuations import DEGREE_TOL, ValuationStack, as_bundle, from_json
 
 from conftest import random_valuation
 
@@ -159,6 +161,63 @@ def test_hessian_matches_finite_differences(v):
     H0 = v.hessian(np.zeros(v.m))
     assert not np.isfinite(H0[np.ix_(~ok, ~ok)]).any()
     assert np.isfinite(H0[np.ix_(ok, ok)]).all()
+
+
+# -- agent-stacked evaluation -------------------------------------------------
+
+# Zero weights and exponents give goods an agent ignores; zero coordinates
+# give divergent partials and non-finite Hessian entries.
+_weights = st.one_of(st.just(0.0), st.floats(0.3, 3.0))
+_coordinates = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+@st.composite
+def stacked_markets(draw):
+    """Agents of mixed kinds at one shared degree, and an (n, m) bundle array."""
+    m = draw(st.integers(1, 4))
+    degree = draw(st.sampled_from([1.0, 0.75, 0.5]))
+    kinds = ["ces", "cobb-douglas"]
+    if degree == 1.0:
+        kinds.append("linear")
+    elif m == 1:
+        kinds.append("power")
+    n = draw(st.integers(1, 6))
+    vals = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        w = np.array(draw(st.lists(_weights, min_size=m, max_size=m)))
+        if not w.any():
+            w[draw(st.integers(0, m - 1))] = 1.0
+        if kind == "linear":
+            vals.append(Linear(w))
+        elif kind == "power":
+            vals.append(Power(draw(st.floats(0.3, 3.0)), degree))
+        elif kind == "cobb-douglas":
+            vals.append(CobbDouglas(w / w.sum() * degree, draw(st.floats(0.5, 2.0))))
+        else:
+            vals.append(CesForm(w, draw(st.sampled_from([0.4, 0.6, 1.0])), degree))
+    X = np.array(draw(st.lists(_coordinates, min_size=n * m, max_size=n * m)))
+    return vals, X.reshape(n, m)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)  # readable report; inf and NaN placement
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@given(stacked_markets())
+def test_stack_matches_each_agents_own_evaluation(market):
+    vals, X = market
+    stack = ValuationStack(vals)
+    V = stack.values(X)
+    G, ok = stack.partials(X)
+    H = stack.hessians(X)
+    for i, v in enumerate(vals):
+        g, ok_i = v.partials(X[i])
+        assert_same_bits(V[i], v.value(X[i]))
+        assert_same_bits(G[i], g)
+        assert_same_bits(ok[i], ok_i)
+        assert_same_bits(H[i], v.hessian(X[i]))
 
 
 # -- structural properties ----------------------------------------------------
