@@ -291,7 +291,7 @@ def _cmd_demo(args) -> int:
         X = np.array([[0.0], [1.0], [0.0]])
         q = np.array([6.0])
         holds = first_welfare_check(instance, X, q)
-        total = float(sum(v.value(X[i]) for i, v in enumerate(instance.valuations)))
+        total = float(sum(instance.values_at(X)))
         print(
             "One good, linear agents with weights (1, 6, 5); the flat price 6 "
             "sells everything to agent 1 (0-indexed).\n"

@@ -294,8 +294,8 @@ def first_welfare_check(
         clear = float(np.abs(1.0 - X[:, priced].sum(axis=0)).max())
         if clear > tolerance:
             raise NotEquilibrium(f"a priced good does not clear (residual {clear:.3e})")
-    total = float(sum(v.value(X[i]) for i, v in enumerate(instance.valuations)))
+    total = float(sum(instance.values_at(X)))
     utilitarian = Instance(instance.valuations, 1.0)
     Y = grid_oracle(utilitarian, _oracle_resolution(instance.n, instance.m))
-    best = float(sum(v.value(Y[i]) for i, v in enumerate(instance.valuations)))
+    best = float(sum(instance.values_at(Y)))
     return total >= best - 1e-6

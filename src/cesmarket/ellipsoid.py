@@ -1,54 +1,71 @@
-"""Central-cut ellipsoid minimization with a separation oracle.
+"""Central-cut ellipsoid minimization over a packing polytope.
 
-Generic engine used by the allocation solvers: minimize a convex function
-over a polytope given only (a) a feasibility/separation callback and (b) a
-value-and-subgradient callback.  Deterministic: no randomness anywhere.
+Generic engine used by both solvers: minimize a convex function over
+{z >= 0, A^T z <= 1} for a nonnegative (d, m) packing matrix A, given a
+value-and-subgradient callback.  The start, the starting ball and the stall
+window all follow from A.  Deterministic: no randomness anywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_CUT_SLACK = 1e-12        # constraint violations up to this count as feasible
 
-def ellipsoid_minimize(
-    objective,
-    separation,
-    center: np.ndarray,
-    radius: float,
-    *,
-    tolerance: float,
-    max_iters: int,
-    stall_window: int,
-):
-    """Minimize objective over the feasible set inside a starting ball.
 
-    objective(x) -> (f, g): f is the tracking value (may be a large
+def _violated_cut(A, z):
+    """Normal of the first constraint z violates: -e_k for z_k < 0, else A[:, j]."""
+    neg = z < -_CUT_SLACK
+    k = int(np.argmax(neg))          # the first True, or 0 when none is
+    if neg[k]:
+        a = np.zeros(z.shape[0])
+        a[k] = -1.0
+        return a
+    over = A.T @ z > 1.0 + _CUT_SLACK
+    j = int(np.argmax(over))
+    if over[j]:
+        return A[:, j].copy()
+    return None
+
+
+def ellipsoid_minimize(objective, A, *, tolerance: float, max_iters: int):
+    """Minimize objective over {z >= 0, A^T z <= 1}.
+
+    objective(z) -> (f, g): f is the tracking value (may be a large
         surrogate for points the caller refuses to rank), g a (sub)gradient
         used as the cut direction.
-    separation(x) -> None if x is feasible, else the normal vector a of a
-        violated constraint a . y <= b (so the cut keeps {y : a.y <= a.x}).
+    A: (d, m) nonnegative, every row with a positive entry, so that z_k is
+        bounded by cap_k = min_j 1 / A_kj.
+
+    The run starts at cap / (2 max_j (A^T cap)_j), which uses at most half
+    of every constraint, inside the ball of radius |cap| that holds the box
+    [0, cap] and so the polytope.  An infeasible center is cut by its first
+    negative coordinate (-e_k) or else its first violated column (A[:, j]).
 
     Stops when max_iters is hit, when the best feasible tracking value has
-    not improved by at least `tolerance` over `stall_window` consecutive
-    feasible evaluations (infeasible centers do not age the window; long
-    corridors of feasibility cuts would otherwise end runs early), or when
-    the ellipsoid degenerates numerically.
+    not improved by at least `tolerance` over 50 * d consecutive feasible
+    evaluations (infeasible centers do not age the window; long corridors
+    of feasibility cuts would otherwise end runs early), or when the
+    ellipsoid degenerates numerically.
 
-    Returns (best_x, best_f, iterations).  best_x is None when no feasible
-    center was ever seen (cannot happen if `center` itself is feasible).
+    Returns (best_z, best_f, iterations); best_z is the start until a
+    feasible center beats it.
     """
-    d = center.shape[0]
-    c = center.astype(float).copy()
-    P = np.eye(d) * float(radius) ** 2
-    best_x = None
+    d = A.shape[0]
+    with np.errstate(divide="ignore"):
+        cap = (1.0 / A).min(axis=1)
+    c = cap / (2.0 * (A.T @ cap).max())
+    P = np.eye(d) * float(np.linalg.norm(cap)) ** 2
+    stall_window = 50 * d
+    best_x = c.copy()
     best_f = np.inf
     last_progress = 0
     feasible_evals = 0
     k = 0
     while k < max_iters:
         k += 1
-        a = separation(c)
-        if a is None:
+        g = _violated_cut(A, c)
+        if g is None:
             feasible_evals += 1
             f, g = objective(c)
             if f < best_f:
@@ -58,8 +75,6 @@ def ellipsoid_minimize(
                 best_x = c.copy()
             if feasible_evals - last_progress >= stall_window:
                 break
-        else:
-            g = a
         gPg = float(g @ P @ g)
         if not np.isfinite(gPg) or gPg <= 0.0:
             break

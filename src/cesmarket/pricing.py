@@ -181,8 +181,8 @@ def we_certificate(
 
     target = instance.rho * instance.degree
     payment = 0.0
-    for i, v in enumerate(instance.valuations):
-        payment = max(payment, abs(rule.price(X[i]) - target * v.value(X[i])))
+    for i, value in enumerate(instance.values_at(X)):
+        payment = max(payment, abs(rule.price(X[i]) - target * value))
 
     return Certificate(
         stationarity=stat,
@@ -272,11 +272,12 @@ def to_fisher(
             f"exceeds tolerance {tolerance:.1e}"
         )
     budgets = np.array([rule.price(X[i]) for i in range(instance.n)])
+    values = instance.values_at(X)
     fisher_pass = True
     for i, v in enumerate(instance.valuations):
         candidates = _fisher_candidates(instance.m, X[i])
         best = _affordable_best(rule, v, budgets[i], candidates)
-        if best > v.value(X[i]) + 1e-6:
+        if best > values[i] + 1e-6:
             fisher_pass = False
             break
     return FisherBudgets(budgets=budgets), fisher_pass

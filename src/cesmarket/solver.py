@@ -12,16 +12,21 @@ x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
   - solve_leontief: the min-ratio (Leontief) program in attained levels,
     with supply multipliers taken from the KKT duals of its Newton solve
 
-Both solvers take the same steps: _check_budget, an ellipsoid search that
-tracks its best iterate with _tracking_objective, an active-set Newton
-polish whose every equality solve runs through _damped_newton, and a
-first-order residual that decides convergence.  Every first-order check of
-the smooth program goes through one kernel, _scaled_marginals: the
-allocation is supported by the convex price rule exactly when each held
-coordinate's scaled marginal v_i**(e-1) * dv_i/dx_ij equals q_j and each
-unheld one is at most q_j.  Its derivative, _marginal_jacobian, supplies the
-Newton steps.  Both, and the search objective, evaluate all agents at once
-through one ValuationStack built per solve.
+Both solvers solve one packing program: a concave objective over the
+variables of a ValuationStack subject to z >= 0 and A^T z <= 1 for a
+packing matrix A.  The allocation program stacks one identity per agent
+(sum_i x_ij <= 1); the Leontief program is the level market of n
+unit-linear agents over their levels alpha_i, with A = W.  Both take the
+same steps: _check_budget, one ellipsoid search (_ellipsoid_phase), an
+active-set Newton polish whose equality solves share _newton_residual,
+_newton_jacobian and _damped_newton, and a first-order residual that
+decides convergence.  Every first-order check of the smooth program goes
+through one kernel, _scaled_marginals: the allocation is supported by the
+convex price rule exactly when each held coordinate's scaled marginal
+v_i**(e-1) * dv_i/dx_ij equals q_j and each unheld one is at most q_j.  Its
+derivative, _marginal_jacobian, supplies the Newton steps.  Both, and the
+search objective, evaluate all agents at once through one ValuationStack
+built per solve.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .valuations import (
     CesForm,
     CobbDouglas,
     Leontief,
+    Linear,
     Valuation,
     ValuationStack,
 )
@@ -303,68 +309,42 @@ def kkt_residual(vals, rho, X, q):
 
 
 # ---------------------------------------------------------------------------
-# search phase: ellipsoid over the allocation polytope
+# search phase: ellipsoid over the packing polytope
 # ---------------------------------------------------------------------------
 
 
-def _tracking_objective(V, e):
-    """Objective at values V for best-iterate tracking; surrogate near zero values."""
-    if e < 1.0 and V.min() < VALUE_FLOOR:
-        return -_SURROGATE
-    if e == 0.0:
-        return float(np.log(V).sum())
-    return float((V**e).sum() / e)
-
-
-def _ellipsoid_phase(stack, e, tolerance, max_iters):
+def _ellipsoid_phase(stack, A, e, tolerance, max_iters):
     """Central-cut ellipsoid search for an approximate optimum.
 
-    The best iterate is tracked with true values.  Cuts come from the
-    objective's ascent gradient, built from valuation gradients alone: the
-    bundles are floored at a tiny interior point first, so boundary
-    singularities stay finite, and the values come from the gradients
-    through homogeneity (welfare.implied_scaled_gradient).
+    Searches the stack's (n, k) variables, flattened, over the packing
+    polytope of the (n k, m) matrix A.  The best iterate is tracked with
+    true values, answered with a surrogate near zero values.  Cuts come
+    from the objective's ascent gradient, built from valuation gradients
+    alone: the bundles are floored at a tiny interior point first, so
+    boundary singularities stay finite, and the values come from the
+    gradients through homogeneity (welfare.implied_scaled_gradient).
     """
-    n, m = stack.n, stack.m
+    n, k = stack.n, stack.m
     r = stack.valuations[0].degree
-    d = n * m
-    cut_template = np.zeros((n, m))
-
-    def separation(z):
-        neg = z < -1e-12
-        if neg.any():
-            a = np.zeros(d)
-            a[int(np.flatnonzero(neg)[0])] = -1.0
-            return a
-        sums = z.reshape(n, m).sum(axis=0)
-        over = sums > 1.0 + 1e-12
-        if over.any():
-            cut_template[:] = 0.0
-            cut_template[:, int(np.flatnonzero(over)[0])] = 1.0
-            return cut_template.ravel().copy()
-        return None
 
     def objective(z):
-        X = np.maximum(z.reshape(n, m), 0.0)
-        f = -_tracking_objective(stack.values(X), e)
+        X = np.maximum(z.reshape(n, k), 0.0)
+        V = stack.values(X)
+        if e < 1.0 and V.min() < VALUE_FLOOR:
+            f = _SURROGATE
+        elif e == 0.0:
+            f = -float(np.log(V).sum())
+        else:
+            f = -float((V**e).sum() / e)
         Xe = np.maximum(X, _GRAD_POINT_FLOOR)
         G, _ = stack.partials(Xe)
         g = -implied_scaled_gradient(G, Xe, r, e)[1]
         return f, g.ravel()
 
-    center = np.full(d, 1.0 / (2 * n))
     best, _, iters = ellipsoid_minimize(
-        objective,
-        separation,
-        center,
-        radius=math.sqrt(d),
-        tolerance=tolerance,
-        max_iters=max_iters,
-        stall_window=50 * d,
+        objective, A, tolerance=tolerance, max_iters=max_iters
     )
-    if best is None:
-        best = center
-    return np.maximum(best.reshape(n, m), 0.0), iters
+    return np.maximum(best.reshape(n, k), 0.0), iters
 
 
 # ---------------------------------------------------------------------------
@@ -372,44 +352,54 @@ def _ellipsoid_phase(stack, e, tolerance, max_iters):
 # ---------------------------------------------------------------------------
 
 
-def _support_point(support, pr, z):
-    """(X, q) of the Newton unknowns z: x on the support, then q on goods pr.
+def _support_point(support, z):
+    """The (n, k) variables that the Newton unknowns z hold on the support.
 
-    Support coordinates are floored at _NEWTON_FLOOR.
+    Support coordinates are floored at _NEWTON_FLOOR.  The multipliers
+    follow the support coordinates in z.
+    """
+    X = np.zeros(support.shape)
+    X[support] = np.maximum(z[: int(support.sum())], _NEWTON_FLOOR)
+    return X
+
+
+def _newton_residual(stack, A, e, support, pr, z):
+    """Scaled marginal minus (A q) on the support, then usage - 1 on goods pr.
+
+    Usage sums the per-agent bundles, each agent's variables weighted by
+    its rows of A.
     """
     n_x = int(support.sum())
-    X = np.zeros(support.shape)
-    X[support] = np.maximum(z[:n_x], _NEWTON_FLOOR)
-    q = np.zeros(support.shape[1])
-    q[pr] = z[n_x:]
-    return X, q
-
-
-def _newton_residual(stack, e, support, pr, z):
-    """Scaled marginal minus q_j on the support, then sum_i x_ij - 1 on pr."""
-    X, q = _support_point(support, pr, z)
+    X = _support_point(support, z)
     M, _ = _scaled_marginals(stack, X, e)
-    return np.concatenate([(M - q)[support], X.sum(axis=0)[pr] - 1.0])
+    n, k = support.shape
+    bundles = (X[:, :, None] * A.reshape(n, k, -1)).sum(axis=1)
+    return np.concatenate(
+        [
+            M[support] - A[:, pr][support.ravel()] @ z[n_x:],
+            bundles.sum(axis=0)[pr] - 1.0,
+        ]
+    )
 
 
-def _newton_jacobian(stack, e, support, pr, z):
+def _newton_jacobian(stack, A, e, support, pr, z):
     """Exact Jacobian of _newton_residual at z.
 
     The x-block is block diagonal by agent, from _marginal_jacobian; q
-    enters with -1 and clearing with +1.  A coordinate below the floor does
-    not move the floored point, so its column is zero.
+    enters with -A and usage with +A^T, restricted to the support and pr.
+    A coordinate below the floor does not move the floored point, so its
+    column is zero.
     """
     n_x = int(support.sum())
     rows, cols = np.nonzero(support)      # the order of X[support]
-    on_good = (cols[:, None] == pr[None, :]).astype(float)
-    X, _ = _support_point(support, pr, z)
-    B = _marginal_jacobian(stack, X, e)
+    coupling = A[:, pr][support.ravel()]
+    B = _marginal_jacobian(stack, _support_point(support, z), e)
     J = np.zeros((n_x + pr.size, n_x + pr.size))
     J[:n_x, :n_x] = np.where(
         rows[:, None] == rows[None, :], B[rows[:, None], cols[:, None], cols], 0.0
     )
-    J[:n_x, n_x:] = -on_good
-    J[n_x:, :n_x] = on_good.T
+    J[:n_x, n_x:] = -coupling
+    J[n_x:, :n_x] = coupling.T
     J[:, np.flatnonzero(z[:n_x] < _NEWTON_FLOOR)] = 0.0
     return J
 
@@ -454,7 +444,7 @@ def _damped_newton(F, J, z, n_pos, rtol, max_steps):
     return z, steps
 
 
-def _newton_system(stack, e, support, priced, X_init):
+def _newton_system(stack, A, e, support, priced, X_init):
     """Solve the equality system on a fixed support by exact-Jacobian Newton.
 
     Unknowns: x on the support coordinates and q on the priced goods.
@@ -474,8 +464,8 @@ def _newton_system(stack, e, support, priced, X_init):
     M, _ = _scaled_marginals(stack, X, e)
     qs0 = _holder_mean(M, X, empty=1.0)[pr]
     z, its = _damped_newton(
-        lambda zz: _newton_residual(stack, e, support, pr, zz),
-        lambda zz: _newton_jacobian(stack, e, support, pr, zz),
+        lambda zz: _newton_residual(stack, A, e, support, pr, zz),
+        lambda zz: _newton_jacobian(stack, A, e, support, pr, zz),
         np.concatenate([xs0, qs0]),
         n_x,
         1e-12,
@@ -490,7 +480,7 @@ def _newton_system(stack, e, support, priced, X_init):
     return X, q, its
 
 
-def _kkt_refine(stack, e, X0, *, max_rounds=40):
+def _kkt_refine(stack, A, e, X0, *, max_rounds=40):
     """Polish an approximate optimum to the first-order system's root.
 
     Picks the support from the search-phase iterate (forcing coordinates
@@ -540,7 +530,7 @@ def _kkt_refine(stack, e, X0, *, max_rounds=40):
         if key in seen:
             break
         seen.add(key)
-        X, q, its = _newton_system(stack, e, support, priced, X0)
+        X, q, its = _newton_system(stack, A, e, support, priced, X0)
         iters += its
         M, _ = _scaled_marginals(stack, X, e)
         E = M - q
@@ -601,8 +591,10 @@ def _solve_smooth(stack, e, *, tolerance, max_iters):
             raise UnsupportedValuation(
                 "Leontief valuations have no gradient; use solve_leontief"
             )
-    X0, it1 = _ellipsoid_phase(stack, e, tolerance, max_iters)
-    X, q, it2 = _kkt_refine(stack, e, X0)
+    n, m = stack.n, stack.m
+    A = np.tile(np.eye(m), (n, 1))      # sum_i x_ij <= 1 per good j
+    X0, it1 = _ellipsoid_phase(stack, A, e, tolerance, max_iters)
+    X, q, it2 = _kkt_refine(stack, A, e, X0)
     return X, q, it1 + it2
 
 
@@ -750,12 +742,15 @@ def grid_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
-    """Active-set Newton for: max (1/rho) sum alpha**rho, W^T alpha <= s.
+def _leontief_newton(level, W, rho, alpha_init, binding_init, *, max_rounds=12):
+    """Active-set Newton for: max (1/rho) sum alpha**rho, W^T alpha <= 1.
 
-    Returns (alpha, binding_mask, q, iterations).  The stationarity
-    condition is alpha_i**(rho-1) = sum_j q_j w_ij with one-sided slack at
+    `level` is the level market, one unit-linear agent per level alpha_i,
+    so the shared Newton equations with packing matrix W are this
+    program's: alpha_i**(rho-1) = sum_j q_j w_ij on the active agents and
+    (W^T alpha)_j = 1 on the binding goods.  Slack is one-sided at
     alpha_i = 0 (possible only at rho = 1, where the objective is linear).
+    Returns (alpha, binding_mask, q, iterations).
     """
     n, m = W.shape
     binding = binding_init.copy()
@@ -768,7 +763,7 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
         usage = W.T @ alpha_init
         while binding.sum() > act.sum():
             B = np.flatnonzero(binding)
-            binding[B[np.argmax(s[B] - usage[B])]] = False
+            binding[B[np.argmax(1.0 - usage[B])]] = False
     else:
         act = np.ones(n, dtype=bool)
     alpha = np.maximum(alpha_init, 1e-9 if rho < 1.0 else 0.0)
@@ -776,37 +771,29 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
     its = 0
     for _ in range(max_rounds):
         B = np.flatnonzero(binding)
-        A = np.flatnonzero(act)
+        agents = np.flatnonzero(act)
+        n_a = agents.shape[0]
         if B.shape[0] == 0:
             # nothing binds: only possible when supply is effectively free
             break
-        Wab = W[np.ix_(A, B)]
-        a = np.maximum(alpha[A], 1e-12)
+        a = np.maximum(alpha[agents], 1e-12)
         qb = q[B] if q[B].any() else np.maximum(
-            np.linalg.lstsq(Wab, a ** (rho - 1.0), rcond=None)[0], 0.0
+            np.linalg.lstsq(W[np.ix_(agents, B)], a ** (rho - 1.0), rcond=None)[0], 0.0
         )
-        nA, nB = A.shape[0], B.shape[0]
-
-        # at rho = 1 the powers below are exactly 1 and 0
-        def F(zz):
-            aa = np.maximum(zz[:nA], _NEWTON_FLOOR)
-            full = np.zeros(n)
-            full[A] = aa
-            return np.concatenate(
-                [aa ** (rho - 1.0) - Wab @ zz[nA:], W[:, B].T @ full - s[B]]
-            )
-
-        def J(zz):
-            aa = np.maximum(zz[:nA], _NEWTON_FLOOR)
-            D = np.diag((rho - 1.0) * aa ** (rho - 2.0))
-            return np.block([[D, -Wab], [Wab.T, np.zeros((nB, nB))]])
-
-        z, steps = _damped_newton(F, J, np.concatenate([a, qb]), nA, 1e-13, 40)
+        support = act[:, None]
+        z, steps = _damped_newton(
+            lambda zz: _newton_residual(level, W, rho, support, B, zz),
+            lambda zz: _newton_jacobian(level, W, rho, support, B, zz),
+            np.concatenate([a, qb]),
+            n_a,
+            1e-13,
+            40,
+        )
         its += steps
         alpha = np.zeros(n)
-        alpha[A] = np.maximum(z[:nA], 0.0)
+        alpha[agents] = np.maximum(z[:n_a], 0.0)
         q = np.zeros(m)
-        q[B] = z[nA:]
+        q[B] = z[n_a:]
         usage = W.T @ alpha
         changed = False
         # goods whose multipliers went negative stop binding
@@ -814,12 +801,12 @@ def _leontief_newton(W, rho, s, alpha_init, binding_init, *, max_rounds=12):
             binding[j] = False
             changed = True
         # violated goods start binding
-        for j in np.flatnonzero(~binding & (usage > s + 1e-10)):
+        for j in np.flatnonzero(~binding & (usage > 1.0 + 1e-10)):
             binding[j] = True
             changed = True
         if rho == 1.0:
             margin = 1.0 - W @ np.maximum(q, 0.0)
-            for i in A[(alpha[A] < 1e-9) & (margin[A] < -1e-9)]:
+            for i in agents[(alpha[agents] < 1e-9) & (margin[agents] < -1e-9)]:
                 act[i] = False
                 changed = True
             for i in np.flatnonzero(~act & (margin > 1e-9)):
@@ -837,63 +824,33 @@ def solve_leontief(
 
     Works in the attained-level variables alpha_i (x_ij = w_ij * alpha_i is
     then the minimal bundle reaching alpha_i): maximize (1/rho) sum
-    alpha_i**rho subject to W^T alpha <= 1.  The supply multipliers are
-    the KKT duals of the supply bounds from the active-set Newton solve, so
-    each agent with alpha_i > 0 pays exactly rho * alpha_i under the
-    induced rule.  At rho = 1 the Newton solve starts from no more binding
-    goods than agents with alpha_i > 0; where the duals are still not
-    unique the multipliers are the least-squares solution the Newton steps
-    reach on the binding set, clipped at 0.
+    alpha_i**rho subject to W^T alpha <= 1.  That is the smooth program of
+    the level market, n unit-linear agents over one variable each, with
+    packing matrix W in place of the per-good supply rows, so the search
+    and the Newton equations are the smooth solver's.  The supply
+    multipliers are the KKT duals of the supply bounds from the active-set
+    Newton solve, so each agent with alpha_i > 0 pays exactly rho * alpha_i
+    under the induced rule.  At rho = 1 the Newton solve starts from no
+    more binding goods than agents with alpha_i > 0; where the duals are
+    still not unique the multipliers are the least-squares solution the
+    Newton steps reach on the binding set, clipped at 0.
     """
     _check_budget(tolerance, max_iters)
     vals = instance.valuations
     for v in vals:
         if not isinstance(v, Leontief):
             raise NotLeontief("solve_leontief requires Leontief valuations only")
-    n, m = instance.n, instance.m
     rho = instance.rho
     W = np.stack([v.weights for v in vals])
-    s = np.ones(m)
+    level = ValuationStack((Linear([1.0]),) * instance.n)
 
-    # box bound on alpha: each agent alone can reach at most min_j s_j / w_ij
-    with np.errstate(divide="ignore"):
-        ratios = np.where(W > 0, s[None, :] / np.where(W > 0, W, 1.0), np.inf)
-    cap = ratios.min(axis=1)
-
-    def separation(z):
-        neg = z < -1e-12
-        if neg.any():
-            a = np.zeros(n)
-            a[int(np.flatnonzero(neg)[0])] = -1.0
-            return a
-        usage = W.T @ z
-        over = usage > s + 1e-12
-        if over.any():
-            return W[:, int(np.flatnonzero(over)[0])].copy()
-        return None
-
-    def objective(z):
-        a = np.maximum(z, 0.0)
-        g = -np.maximum(a, _GRAD_POINT_FLOOR) ** (rho - 1.0)
-        return -_tracking_objective(a, rho), g
-
-    best, _, it1 = ellipsoid_minimize(
-        objective,
-        separation,
-        cap / 2.0,
-        radius=float(np.linalg.norm(cap)),
-        tolerance=tolerance,
-        max_iters=max_iters,
-        stall_window=50 * n,
-    )
-    if best is None:
-        best = cap / 4.0
-    alpha0 = np.maximum(best, 0.0)
+    alpha0, it1 = _ellipsoid_phase(level, W, rho, tolerance, max_iters)
+    alpha0 = alpha0[:, 0]
     usage = W.T @ alpha0
-    binding0 = usage > s - 1e-3 * np.maximum(1.0, s)
+    binding0 = usage > 1.0 - 1e-3
     if not binding0.any():
-        binding0[int(np.argmax(usage - s))] = True
-    alpha, binding, q, it2 = _leontief_newton(W, rho, s, alpha0, binding0)
+        binding0[int(np.argmax(usage - 1.0))] = True
+    alpha, binding, q, it2 = _leontief_newton(level, W, rho, alpha0, binding0)
 
     # the stationarity residual at the Newton duals decides convergence
     res = 0.0
@@ -904,9 +861,9 @@ def solve_leontief(
     if (~pos).any():
         res = max(res, float(np.maximum(margin[~pos], 0.0).max()))
     usage = W.T @ alpha
-    res = max(res, float(np.maximum(usage - s, 0.0).max()))
+    res = max(res, float(np.maximum(usage - 1.0, 0.0).max()))
     if binding.any():
-        res = max(res, float(np.abs(usage[binding] - s[binding]).max()))
+        res = max(res, float(np.abs(usage[binding] - 1.0).max()))
 
     X = W * alpha[:, None]
     lam = np.where(X > 0, q[None, :], 0.0)

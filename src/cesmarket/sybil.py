@@ -118,7 +118,7 @@ def swe_check(
             f"(residual {cert.max_residual:.3e})"
         )
     rho = instance.rho
-    values = tuple(float(v.value(X[i])) for i, v in enumerate(instance.valuations))
+    values = tuple(instance.values_at(X).tolist())
     statuses = tuple(sybil_status(v, rho, kappa) for v in values)
     cap = math.inf if rho == 1.0 else kappa / (1.0 - rho)
     welfare_cap = math.inf if rho == 1.0 else instance.n ** (1.0 / rho) * cap

@@ -153,13 +153,25 @@ def test_solve_matches_grid_oracle(rng):
         assert res.objective >= best - 1e-3
 
 
-def test_solve_is_deterministic():
-    inst = Instance(
-        (Linear([1.0, 2.0]), CobbDouglas([0.5, 0.5]), Linear([2.0, 1.0])), 0.5
-    )
-    a = solve_ces(inst)
-    b = solve_ces(inst)
+@pytest.mark.parametrize(
+    "solve, inst",
+    [
+        (
+            solve_ces,
+            Instance((Linear([1.0, 2.0]), CobbDouglas([0.5, 0.5]), Linear([2.0, 1.0])), 0.5),
+        ),
+        (
+            solve_leontief,
+            Instance((Leontief([1.0, 2.0]), Leontief([2.0, 0.5]), Leontief([1.0, 1.0])), 0.5),
+        ),
+    ],
+    ids=["ces", "leontief"],
+)
+def test_solve_is_deterministic(solve, inst):
+    a = solve(inst)
+    b = solve(inst)
     assert np.array_equal(a.allocation, b.allocation)
+    assert np.array_equal(a.multipliers, b.multipliers)
     assert a.objective == b.objective
     assert a.iterations == b.iterations
 
@@ -225,6 +237,8 @@ def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
 # Agent 1 keeps its valued goods on the support and agent 3 has a coordinate
 # held at the floor.  The degree-1 market mixes three kinds, and its CES
 # group is agents 0 and 3, so the stacked blocks must scatter back to them.
+# The "level" market is solve_leontief's: unit-linear agents over their
+# levels, packed by a weight matrix that is not an indicator.
 NEWTON_MARKETS = {
     "ces-cd-0.7": (
         CesForm([1.0, 2.0, 0.5], 0.5, 0.7),
@@ -238,31 +252,43 @@ NEWTON_MARKETS = {
         Linear([0.8, 1.5, 0.0]),
         CesForm([1.0, 0.3, 2.0], 0.6, 1.0),
     ),
+    "level": (Linear([1.0]),) * 4,
 }
 
 
 @pytest.mark.parametrize(
     "e, market",
     [pytest.param(e, "ces-cd-0.7", id=str(e)) for e in (0.5, 0.0, 1.0)]
-    + [pytest.param(e, "linear-ces-cd-1", id=f"{e}-linear-ces-cd-1") for e in (0.5, 0.0, 1.0)],
+    + [pytest.param(e, "linear-ces-cd-1", id=f"{e}-linear-ces-cd-1") for e in (0.5, 0.0, 1.0)]
+    + [pytest.param(e, "level", id=f"{e}-level") for e in (0.25, 1.0)],
 )
 def test_newton_jacobian_matches_finite_differences(e, market):
     rng = np.random.default_rng(5)
     vals = NEWTON_MARKETS[market]
     stack = ValuationStack(vals)
-    support = np.stack([v.valued_goods() for v in vals]) & (rng.random((4, 3)) < 0.8)
-    support[1] = vals[1].valued_goods()
+    if market == "level":
+        A = rng.uniform(0.3, 2.0, (4, 3))
+        support = np.array([[True], [False], [True], [True]])
+    else:
+        A = np.tile(np.eye(3), (4, 1))
+        support = np.stack([v.valued_goods() for v in vals]) & (rng.random((4, 3)) < 0.8)
+        support[1] = vals[1].valued_goods()
     pr = np.array([0, 2])
     z = np.concatenate([rng.uniform(0.1, 0.6, int(support.sum())), [0.7, 1.3]])
     floored = int(np.flatnonzero(np.nonzero(support)[0] == 3)[0])
     z[floored] = 0.0  # held at the floor: F does not move with it
-    J = _newton_jacobian(stack, e, support, pr, z)
+    J = _newton_jacobian(stack, A, e, support, pr, z)
     fd = np.empty_like(J)
+    n_x = int(support.sum())
     for k in range(z.shape[0]):
         dz = np.zeros_like(z)
         dz[k] = 1e-14 if k == floored else 1e-6  # the floor sits at 1e-13
-        F_plus = _newton_residual(stack, e, support, pr, z + dz)
-        F_minus = _newton_residual(stack, e, support, pr, z - dz)
+        if k >= n_x:
+            # F is affine in q: a wide step is exact and keeps the rounding of
+            # a floored level's huge marginal out of the difference quotient
+            dz[k] = 0.1
+        F_plus = _newton_residual(stack, A, e, support, pr, z + dz)
+        F_minus = _newton_residual(stack, A, e, support, pr, z - dz)
         fd[:, k] = (F_plus - F_minus) / (2 * dz[k])
     assert not J[:, floored].any()
     np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-5)
