@@ -234,7 +234,7 @@ def _nash_solve(instance: Instance, tolerance: float = 1e-6):
     dv_i/dx_ij / v_i.
     """
     stack = ValuationStack(instance.valuations)
-    X, _, iters = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
+    X, _, iters, _ = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
     M, _ = _scaled_marginals(stack, X, 0.0)
     q = _holder_mean(M, X)
     residual = kkt_residual(instance.valuations, 0.0, X, q)

@@ -75,18 +75,21 @@ def ellipsoid_minimize(objective, A, *, tolerance: float, max_iters: int):
                 best_x = c.copy()
             if feasible_evals - last_progress >= stall_window:
                 break
-        gPg = float(g @ P @ g)
-        if not np.isfinite(gPg) or gPg <= 0.0:
-            break
-        if d == 1:
-            # Degenerate dimension: the ellipsoid is an interval and the cut
-            # halves it toward the feasible/descent side.
-            half = np.sqrt(P[0, 0])
-            c = c - 0.5 * half * np.sign(g)
-            P = P / 4.0
-            continue
-        gt = (P @ g) / np.sqrt(gPg)
-        c = c - gt / (d + 1.0)
-        P = (d * d / (d * d - 1.0)) * (P - (2.0 / (d + 1.0)) * np.outer(gt, gt))
-        P = 0.5 * (P + P.T)
+        # long runs can overflow P; once it is not finite, gPg is not
+        # either and the run stops as degenerate, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            gPg = float(g @ P @ g)
+            if not np.isfinite(gPg) or gPg <= 0.0:
+                break
+            if d == 1:
+                # Degenerate dimension: the ellipsoid is an interval and the
+                # cut halves it toward the feasible/descent side.
+                half = np.sqrt(P[0, 0])
+                c = c - 0.5 * half * np.sign(g)
+                P = P / 4.0
+                continue
+            gt = (P @ g) / np.sqrt(gPg)
+            c = c - gt / (d + 1.0)
+            # the rank-one update keeps a symmetric P exactly symmetric
+            P = (d * d / (d * d - 1.0)) * (P - (2.0 / (d + 1.0)) * np.outer(gt, gt))
     return best_x, best_f, k

@@ -24,6 +24,31 @@ from .errors import BadBid, BadParameter, EmptyInput, QuadratureFailure
 _SIMPSON_MAX_DEPTH = 60
 
 
+def _check_curvature(degree, rho):
+    if not (0.0 < degree <= 1.0):
+        raise BadParameter(f"degree must lie in (0, 1], got {degree}")
+    if not (0.0 < rho < 1.0):
+        raise BadParameter(
+            f"the curved mechanism needs rho in (0, 1), got {rho}; "
+            "rho = 1 is the second-price case"
+        )
+
+
+def _competition(others, degree, rho):
+    """Allocation exponent alpha and competitor mass C = sum_k b_k**alpha.
+
+    Applies BidProfile's rules to a payment query: degree in (0, 1], rho in
+    (0, 1), and competitor bids finite and nonnegative (a zero bid takes no
+    share).
+    """
+    _check_curvature(degree, rho)
+    comp = np.atleast_1d(np.asarray(others, dtype=float))
+    if not np.all(np.isfinite(comp)) or np.any(comp < 0):
+        raise BadBid("competitor bids must be nonnegative and finite")
+    alpha = rho / (1.0 - degree * rho)
+    return alpha, float((comp**alpha).sum())
+
+
 @dataclass(frozen=True)
 class BidProfile:
     """Reported weights plus the public curvature parameters.
@@ -42,13 +67,7 @@ class BidProfile:
             raise EmptyInput("a bid profile needs at least one bid")
         if not np.all(np.isfinite(b)) or np.any(b <= 0):
             raise BadBid("bids must be strictly positive and finite")
-        if not (0.0 < self.degree <= 1.0):
-            raise BadParameter(f"degree must lie in (0, 1], got {self.degree}")
-        if not (0.0 < self.rho < 1.0):
-            raise BadParameter(
-                f"the curved mechanism needs rho in (0, 1), got {self.rho}; "
-                "rho = 1 is the second-price case"
-            )
+        _check_curvature(self.degree, self.rho)
         b.flags.writeable = False
         object.__setattr__(self, "bids", b)
 
@@ -127,9 +146,7 @@ def single_bid_payment(
         raise BadBid("bid must be nonnegative and finite")
     if quad_tol <= 0:
         raise BadParameter("quad_tol must be positive")
-    alpha = rho / (1.0 - degree * rho)
-    comp = np.atleast_1d(np.asarray(others, dtype=float))
-    c = float((comp**alpha).sum()) if comp.size else 0.0
+    alpha, c = _competition(others, degree, rho)
     if bid == 0.0 or c == 0.0:
         return 0.0
     ra = degree * alpha
@@ -152,22 +169,24 @@ def truthful_payment(profile: BidProfile, i: int, quad_tol: float = 1e-9) -> flo
 def response_curve(true_w: float, others, degree: float, rho: float, bids):
     """Utility w * share**r - payment at each candidate bid.
 
-    Payments accumulate segment by segment along the sorted bid grid, so a
-    whole curve costs one quadrature sweep instead of one per point.
+    Payments accumulate segment by segment along the bids in ascending
+    order, so a whole curve costs one quadrature sweep instead of one per
+    point; the utilities come back in the order of `bids`.
     """
     bids = np.asarray(bids, dtype=float)
-    alpha = rho / (1.0 - degree * rho)
-    comp = np.atleast_1d(np.asarray(others, dtype=float))
-    c = float((comp**alpha).sum()) if comp.size else 0.0
+    if not np.all(np.isfinite(bids)) or np.any(bids < 0):
+        raise BadBid("candidate bids must be nonnegative and finite")
+    alpha, c = _competition(others, degree, rho)
     ra = degree * alpha
     seg_tol = 1e-10 / max(1.0, ra * c) if c > 0.0 else 1e-10
     utilities = np.empty(bids.shape[0])
     acc = 0.0
     prev = 0.0
-    for k, b in enumerate(bids):
+    for k in np.argsort(bids, kind="stable"):
+        b = float(bids[k])
         if c > 0.0:
-            acc += _payment_integral(c, alpha, ra, degree, prev, float(b), seg_tol)
-            prev = float(b)
+            acc += _payment_integral(c, alpha, ra, degree, prev, b, seg_tol)
+            prev = b
             payment = ra * c * acc
             share = b**alpha / (b**alpha + c)
         else:

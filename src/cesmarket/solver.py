@@ -17,10 +17,14 @@ variables of a ValuationStack subject to z >= 0 and A^T z <= 1 for a
 packing matrix A.  The allocation program stacks one identity per agent
 (sum_i x_ij <= 1); the Leontief program is the level market of n
 unit-linear agents over their levels alpha_i, with A = W.  Both take the
-same steps: _check_budget, one ellipsoid search (_ellipsoid_phase), an
+same steps: _check_budget, an ellipsoid search (_ellipsoid_phase), an
 active-set Newton polish whose equality solves share _newton_residual,
 _newton_jacobian and _damped_newton, and a first-order residual that
-decides convergence.  Every first-order check of the smooth program goes
+decides convergence.  The smooth program repeats search and polish at
+growing search budgets (100, 400, ..., max_iters) and stops at the first
+attempt the residual certifies, so the search runs only as long as the
+polish needs; the Leontief program searches once with the full budget.
+Every first-order check of the smooth program goes
 through one kernel, _scaled_marginals: the allocation is supported by the
 convex price rule exactly when each held coordinate's scaled marginal
 v_i**(e-1) * dv_i/dx_ij equals q_j and each unheld one is at most q_j.  Its
@@ -78,6 +82,7 @@ _DROP_X = 1e-8            # support coordinates at/below this may be dropped
 _DROP_RES = -1e-7         # ... when their marginal sits this far below price
 _ADD_RES = 1e-9           # off-support marginal excess that re-opens a coordinate
 _NEWTON_FLOOR = 1e-13     # support coordinates are evaluated at least here
+_FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
 
 
 @dataclass(frozen=True)
@@ -585,7 +590,16 @@ def _check_budget(tolerance, max_iters):
 
 
 def _solve_smooth(stack, e, *, tolerance, max_iters):
-    """Search then refine the program with exponent e (0 for the log program)."""
+    """Search then refine the program with exponent e (0 for the log program).
+
+    Attempt k searches from scratch with budget min(_FIRST_BUDGET * 4**k,
+    max_iters) and refines the search's best point.  The first attempt
+    whose first-order residual is within `tolerance` is returned, and so is
+    one whose search stopped before its budget (the search is
+    deterministic, so a larger budget would replay the same iterates) or
+    ran the full max_iters.  Returns (X, q, iterations of every attempt,
+    residual).
+    """
     for v in stack.valuations:
         if isinstance(v, Leontief):
             raise UnsupportedValuation(
@@ -593,9 +607,16 @@ def _solve_smooth(stack, e, *, tolerance, max_iters):
             )
     n, m = stack.n, stack.m
     A = np.tile(np.eye(m), (n, 1))      # sum_i x_ij <= 1 per good j
-    X0, it1 = _ellipsoid_phase(stack, A, e, tolerance, max_iters)
-    X, q, it2 = _kkt_refine(stack, A, e, X0)
-    return X, q, it1 + it2
+    budget = min(_FIRST_BUDGET, max_iters)
+    iters = 0
+    while True:
+        X0, searched = _ellipsoid_phase(stack, A, e, tolerance, budget)
+        X, q, polished = _kkt_refine(stack, A, e, X0)
+        iters += searched + polished
+        residual = kkt_residual(stack.valuations, e, X, q)
+        if residual <= tolerance or searched < budget or budget == max_iters:
+            return X, q, iters, residual
+        budget = min(4 * budget, max_iters)
 
 
 def solve_ces(
@@ -606,16 +627,23 @@ def solve_ces(
 ) -> SolveResult:
     """Maximize (1/rho) sum_i v_i(x_i)**rho over the allocation polytope.
 
+    The ellipsoid search restarts at budgets of 100, 400, 1600, ...
+    iterations, each attempt followed by the Newton polish, and the solve
+    returns the first attempt whose first-order residual is within
+    `tolerance`.  `max_iters` is the search budget: it caps the last
+    attempt, the one full search and polish that an uncertified market
+    ends with.  `iterations` counts the search and Newton iterations of
+    every attempt.
+
     Deterministic: identical inputs produce identical results.  Raises
     DidNotConverge (carrying the best iterate) when the final first-order
     residual exceeds `tolerance`.
     """
     _check_budget(tolerance, max_iters)
     stack = ValuationStack(instance.valuations)
-    X, q, iters = _solve_smooth(
+    X, q, iters, residual = _solve_smooth(
         stack, instance.rho, tolerance=tolerance, max_iters=max_iters
     )
-    residual = kkt_residual(instance.valuations, instance.rho, X, q)
     values = stack.values(X)
     objective = ces_objective(WelfareParams(instance.rho), values)
     result = SolveResult(

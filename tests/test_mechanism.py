@@ -9,6 +9,7 @@ from cesmarket import (
     BadBid,
     BadParameter,
     BidProfile,
+    QuadratureFailure,
     best_response_scan,
     response_curve,
     single_bid_payment,
@@ -128,8 +129,40 @@ def test_payment_edge_cases():
         single_bid_payment(-1.0, [1.0], 1.0, 0.5)
     with pytest.raises(BadParameter):
         single_bid_payment(1.0, [1.0], 1.0, 0.5, quad_tol=0.0)
+    with pytest.raises(QuadratureFailure):
+        # no subdivision within the depth budget reaches this tolerance
+        single_bid_payment(1.0, [1.0], 1.0, 0.5, quad_tol=1e-300)
     with pytest.raises(BadParameter):
         truthful_payment(BidProfile(np.array([1.0, 1.0]), 1.0, 0.5), 2)
+
+
+QUERIES = [
+    lambda others, degree, rho: single_bid_payment(1.0, others, degree, rho),
+    lambda others, degree, rho: response_curve(1.0, others, degree, rho, [0.5, 1.0]),
+    lambda others, degree, rho: best_response_scan(1.0, others, degree, rho),
+]
+QUERY_IDS = ["payment", "curve", "scan"]
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=QUERY_IDS)
+@pytest.mark.parametrize("others", [[-1.0], [np.inf], [np.nan], [1.0, -0.5]])
+def test_queries_reject_bad_competitor_bids(query, others):
+    with pytest.raises(BadBid):
+        query(others, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=QUERY_IDS)
+@pytest.mark.parametrize(
+    "degree, rho",
+    [(1.0, 1.0), (1.0, 0.0), (1.0, 1.5), (1.5, 0.5), (0.0, 0.5), (np.nan, 0.5)],
+)
+def test_queries_reject_bad_curvature(query, degree, rho):
+    with pytest.raises(BadParameter):
+        query([1.0], degree, rho)
+
+
+def test_zero_competitor_bids_take_no_share():
+    assert single_bid_payment(1.0, [0.0, 0.0], 1.0, 0.5) == 0.0
 
 
 def test_payment_monotone_in_own_bid(rng):
@@ -170,15 +203,22 @@ def test_best_response_is_truthful(rng):
 
 
 def test_response_curve_matches_pointwise_payments():
-    bids = np.array([0.5, 1.0, 2.0])
     others = [1.0, 1.5]
-    curve = response_curve(2.0, others, 1.0, 0.5, bids)
     alpha = 1.0
     c = sum(others)
-    for k, b in enumerate(bids):
-        share = b**alpha / (b**alpha + c)
-        util = 2.0 * share - single_bid_payment(float(b), others, 1.0, 0.5)
-        assert curve[k] == pytest.approx(util, abs=1e-8)
+    # unsorted bids are answered in their own order
+    for bids in ([0.5, 1.0, 2.0], [2.0, 1.0, 0.0, 1.5, 0.5]):
+        curve = response_curve(2.0, others, 1.0, 0.5, bids)
+        for k, b in enumerate(bids):
+            share = b**alpha / (b**alpha + c)
+            util = 2.0 * share - single_bid_payment(float(b), others, 1.0, 0.5)
+            assert curve[k] == pytest.approx(util, abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+def test_response_curve_rejects_bad_bids(bad):
+    with pytest.raises(BadBid):
+        response_curve(2.0, [1.0], 1.0, 0.5, [1.0, bad])
 
 
 def test_scan_guards():

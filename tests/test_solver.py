@@ -1,5 +1,7 @@
 """Allocation solvers: closed form, ellipsoid, grid oracle, Leontief."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from cesmarket import (
     solve_leontief,
 )
 from cesmarket.solver import (
+    _ellipsoid_phase,
+    _kkt_refine,
     _newton_jacobian,
     _newton_residual,
     as_allocation,
@@ -232,6 +236,72 @@ def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 1.0)
     res = solve_ces(inst, max_iters=1000)
     assert res.max_kkt_residual <= 1e-8
+
+
+def _full_search_then_refine(inst, max_iters):
+    """The single search-then-polish that ends every uncertified solve."""
+    stack = ValuationStack(inst.valuations)
+    A = np.tile(np.eye(inst.m), (inst.n, 1))
+    X0, _ = _ellipsoid_phase(stack, A, inst.rho, 1e-8, max_iters)
+    return _kkt_refine(stack, A, inst.rho, X0)
+
+
+@pytest.mark.parametrize(
+    "n, make",
+    [(8, lambda w: CesForm(w, 0.5, 1.0)), (12, lambda w: CesForm(w, 0.5, 1.0)), (8, Linear)],
+    ids=["8x8-ces", "12x12-ces", "8x8-linear"],
+)
+def test_large_markets_certify(n, make):
+    # a full 100000-iteration search took 35 s (8x8) and 72 s (12x12) on the
+    # CES markets; an early attempt's short search certifies them
+    w = np.random.default_rng(0).uniform(0.3, 3.0, (n, n))
+    res = solve_ces(Instance(tuple(make(row) for row in w), 0.5))
+    assert res.max_kkt_residual <= 1e-8
+
+
+def test_fall_through_matches_full_search():
+    # the attempts at 100, 400 and 1600 fail and the search stalls at 6152,
+    # so the solve ends with the full-budget search and polish
+    weights = [
+        [2.540335175494664, 1.9771566804170917, 2.2465065665944164, 0.34382878683273055],
+        [2.124480039513069, 2.7575066110617947, 0.6669604562618707, 2.4149194626822315],
+        [0.5252195594210337, 1.9601358606003292, 1.140673008645685, 1.2984403944419847],
+    ]
+    sigmas = [0.8, 1.0, 1.0]
+    inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 0.25)
+    res = solve_ces(inst)
+    X, q, _ = _full_search_then_refine(inst, 100_000)
+    assert np.array_equal(res.allocation, X)
+    assert np.array_equal(res.multipliers, q)
+    assert res.iterations > 6155    # every attempt's iterations count
+
+
+def test_search_stops_silently_when_the_ellipsoid_overflows():
+    # about 50000 cuts grow the ellipsoid's matrix past the float range;
+    # solve_ces certifies this market from an early attempt and never gets here
+    weights = [
+        [1.0655156731292452, 2.2924934933397583, 1.0388266656148417, 2.794322342230959],
+        [0.6295434202204526, 1.4249982945663122, 2.2191240509073378, 2.935606411152862],
+    ]
+    stack = ValuationStack(tuple(Linear(w) for w in weights))
+    A = np.tile(np.eye(4), (2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, iters = _ellipsoid_phase(stack, A, 0.25, 1e-8, 100_000)
+    assert 40_000 < iters < 100_000
+    assert np.all(np.isfinite(X)) and np.all(X.sum(axis=0) <= 1.0 + 1e-9)
+
+
+def test_budget_below_first_attempt_is_one_search():
+    rng = np.random.default_rng(0)
+    inst = Instance(tuple(Linear(w) for w in rng.uniform(0.3, 3.0, (3, 3))), 0.5)
+    X, q, _ = _full_search_then_refine(inst, 50)
+    try:
+        res = solve_ces(inst, max_iters=50)
+    except DidNotConverge as err:
+        res = err.result
+    assert np.array_equal(res.allocation, X)
+    assert np.array_equal(res.multipliers, q)
 
 
 # Agent 1 keeps its valued goods on the support and agent 3 has a coordinate
