@@ -24,13 +24,10 @@ from .errors import BadParameter, BadRho, DidNotConverge, NotEquilibrium
 from .pricing import demand_residual, make_pricing_rule
 from .solver import (
     Instance,
-    _holder_mean,
-    _scaled_marginals,
     _solve_smooth,
     as_allocation,
     closed_form_single_good,
     grid_oracle,
-    kkt_residual,
 )
 from .valuations import ValuationStack
 
@@ -234,10 +231,7 @@ def _nash_solve(instance: Instance, tolerance: float = 1e-6):
     dv_i/dx_ij / v_i.
     """
     stack = ValuationStack(instance.valuations)
-    X, _, iters, _ = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
-    M, _ = _scaled_marginals(stack, X, 0.0)
-    q = _holder_mean(M, X)
-    residual = kkt_residual(instance.valuations, 0.0, X, q)
+    X, q, iters, residual = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
     if residual > tolerance:
         raise DidNotConverge(
             f"threshold-pricing residual {residual:.3e} above {tolerance:.1e}"
@@ -249,8 +243,9 @@ def _nash_solve(instance: Instance, tolerance: float = 1e-6):
 def nash_threshold_pricing(instance: Instance, tolerance: float = 1e-6):
     """Per-good threshold prices supporting the proportional-fairness point.
 
-    Solves the log-welfare program, reads each good's threshold off holder
-    gradients (q_j = dv_i/dx_ij / v_i), and checks every agent's spend
+    Solves the log-welfare program, takes each good's threshold from the
+    solve's multipliers (at the optimum every holder's dv_i/dx_ij / v_i
+    equals q_j), and checks every agent's spend
     q . x_i equals the unit budget within `tolerance`.  Returns
     (q, budget_check).  The spend identity is q . x_i = degree, so the
     check passes exactly for degree-1 markets.

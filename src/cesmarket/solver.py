@@ -17,13 +17,14 @@ variables of a ValuationStack subject to z >= 0 and A^T z <= 1 for a
 packing matrix A.  The allocation program stacks one identity per agent
 (sum_i x_ij <= 1); the Leontief program is the level market of n
 unit-linear agents over their levels alpha_i, with A = W.  Both take the
-same steps: _check_budget, an ellipsoid search (_ellipsoid_phase), an
-active-set Newton polish whose equality solves share _newton_residual,
-_newton_jacobian and _damped_newton, and a first-order residual that
-decides convergence.  The smooth program repeats search and polish at
-growing search budgets (100, 400, ..., max_iters) and stops at the first
-attempt the residual certifies, so the search runs only as long as the
-polish needs; the Leontief program searches once with the full budget.
+same steps: _check_budget, an ellipsoid search (_ellipsoid_phase), one
+active-set Newton polish (_kkt_refine, whose equality solves go through
+_newton_residual, _newton_jacobian and _damped_newton), and a first-order
+residual from _stationarity_residual that decides convergence.  The
+smooth program repeats search and polish at growing search budgets (100,
+400, ..., max_iters) and stops at the first attempt the residual
+certifies, so the search runs only as long as the polish needs; the
+Leontief program searches once with the full budget.
 Every first-order check of the smooth program goes
 through one kernel, _scaled_marginals: the allocation is supported by the
 convex price rule exactly when each held coordinate's scaled marginal
@@ -82,6 +83,9 @@ _DROP_X = 1e-8            # support coordinates at/below this may be dropped
 _DROP_RES = -1e-7         # ... when their marginal sits this far below price
 _ADD_RES = 1e-9           # off-support marginal excess that re-opens a coordinate
 _NEWTON_FLOOR = 1e-13     # support coordinates are evaluated at least here
+_NEWTON_RTOL = 1e-12      # Newton stops at max |F| <= this * max(1, max |q|)
+_NEWTON_STEPS = 60        # Newton steps per equality solve
+_REFINE_ROUNDS = 40       # support and priced-set repairs per refine
 _FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
 
 
@@ -409,24 +413,24 @@ def _newton_jacobian(stack, A, e, support, pr, z):
     return J
 
 
-def _damped_newton(F, J, z, n_pos, rtol, max_steps):
+def _damped_newton(F, J, z, n_pos):
     """Damped least-squares Newton on F(z) = 0, keeping z[:n_pos] nonnegative.
 
     Each step solves J(z) dz = -F(z) in least squares, is cut where the
     first n_pos unknowns reach zero, and is halved up to 14 times until the
-    residual norm falls by the Armijo factor.  Stops once max |F| <= rtol *
-    max(1, max |z[n_pos:]|) at the start, after max_steps steps, or when no
-    step is accepted.  Returns (z, steps).
+    residual norm falls by the Armijo factor.  Stops once max |F| <=
+    _NEWTON_RTOL * max(1, max |z[n_pos:]|) at the start, after
+    _NEWTON_STEPS steps, or when no step is accepted.  Returns (z, steps).
 
     Cutting onto zero, not just short of it, matters: a coordinate that
     lands below _NEWTON_FLOOR is held at the floor by the callers' F, while
     one left at a millionth of its value keeps a near-singular marginal
     that can stall the smooth program's refine.
     """
-    target = rtol * max(1.0, float(np.abs(z[n_pos:]).max(initial=0.0)))
+    target = _NEWTON_RTOL * max(1.0, float(np.abs(z[n_pos:]).max(initial=0.0)))
     Fz = F(z)
     steps = 0
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         steps += 1
         if np.abs(Fz).max() <= target:
             break
@@ -452,51 +456,67 @@ def _damped_newton(F, J, z, n_pos, rtol, max_steps):
 def _newton_system(stack, A, e, support, priced, X_init):
     """Solve the equality system on a fixed support by exact-Jacobian Newton.
 
-    Unknowns: x on the support coordinates and q on the priced goods.
-    Equations: scaled marginal = q_j on every support coordinate, and
-    sum_i x_ij = 1 on every priced good.  _damped_newton steps with the
-    exact Jacobian of the residual (_newton_jacobian).
+    Unknowns: the variables on the support and q on the priced constraints.
+    Equations: scaled marginal = (A q) on every support variable, and usage
+    = 1 on every priced constraint.  Each multiplier starts at the mean,
+    over the agents whose bundle uses its constraint, of the agent's
+    marginal per unit of that use (1 if no agent uses it); _damped_newton
+    then steps with the exact Jacobian of the residual (_newton_jacobian).
     """
-    n, m = support.shape
+    n, k = support.shape
     pr = np.flatnonzero(priced)
     n_x = int(support.sum())
 
-    # assemble z0; support coordinates get a small interior floor, and each
-    # multiplier starts at its holders' mean scaled marginal (1 if unheld)
+    # support coordinates get a small interior floor
     xs0 = np.maximum(X_init[support], 1e-6)
-    X = np.zeros((n, m))
+    X = np.zeros((n, k))
     X[support] = xs0
     M, _ = _scaled_marginals(stack, X, e)
-    qs0 = _holder_mean(M, X, empty=1.0)[pr]
+    A3 = A.reshape(n, k, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_unit = np.where(A3 > 0.0, M[:, :, None] / A3, 0.0).sum(axis=1)
+    bundles = (X[:, :, None] * A3).sum(axis=1)
+    qs0 = _holder_mean(per_unit, bundles, empty=1.0)[pr]
     z, its = _damped_newton(
         lambda zz: _newton_residual(stack, A, e, support, pr, zz),
         lambda zz: _newton_jacobian(stack, A, e, support, pr, zz),
         np.concatenate([xs0, qs0]),
         n_x,
-        1e-12,
-        60,
     )
-    X = np.zeros((n, m))
+    X = np.zeros((n, k))
     X[support] = np.maximum(z[:n_x], 0.0)
-    q = np.zeros(m)
+    q = np.zeros(A.shape[1])
     q[pr] = z[n_x:]
     # snap numerically-zero artifacts
     q[(q < 0) & (q > -1e-11)] = 0.0
     return X, q, its
 
 
-def _kkt_refine(stack, A, e, X0, *, max_rounds=40):
+def _kkt_refine(stack, A, e, X0):
     """Polish an approximate optimum to the first-order system's root.
 
-    Picks the support from the search-phase iterate (forcing coordinates
-    whose marginal value diverges at zero), solves the equality system by
-    Newton's method, and repairs the guess by dropping coordinates that want
-    out and adding profitable ones until the full system is consistent.
+    Works on the packing program of the (n k, m) matrix A.  Picks the
+    support from the search-phase iterate (forcing coordinates whose
+    marginal value diverges at zero) and prices the constraints the iterate
+    nearly saturates, plus each valued variable's fullest constraint if
+    none of its own is priced.  Every priced constraint gets a support
+    variable that uses it, and no more constraints are priced than the
+    support's rows of A have rank (at most the support size; the slackest
+    are released), since more would make the equality system inconsistent
+    or singular.  Then it solves that system by
+    Newton's method and repairs the guess until the full system is
+    consistent: it unprices constraints whose multiplier turns negative,
+    drops coordinates that want out and adds profitable ones.
     """
-    n, m = X0.shape
+    n, k = X0.shape
     vals = stack.valuations
+    uses = A > 0.0
     valued = np.stack([v.valued_goods() for v in vals])
-    priced = valued.any(axis=0)
+    var_valued = valued.ravel()
+    usage = X0.ravel() @ A
+    priced = (usage > 1.0 - 1e-3) & uses[var_valued].any(axis=0)
+    lone = var_valued & ~(uses & priced).any(axis=1)
+    priced[np.argmax(np.where(uses[lone], usage, -np.inf), axis=1)] = True
     divergent = np.stack([v.divergent_at_zero() for v in vals]) & valued
     if e < 1.0:
         active = np.ones(n, dtype=bool)
@@ -513,44 +533,62 @@ def _kkt_refine(stack, A, e, X0, *, max_rounds=40):
     for i in range(n):
         if active[i] and valued[i].any() and not support[i].any():
             support[i, int(np.argmax(np.where(valued[i], X0[i], -1.0)))] = True
-    # every priced good needs at least one prospective holder
+    # every priced constraint needs at least one prospective user
     G0 = np.stack(
         [v.gradient(np.maximum(X0[i], _GRAD_POINT_FLOOR)) for i, v in enumerate(vals)]
     )
 
     def ensure_holders():
         for j in np.flatnonzero(priced):
-            if not support[:, j].any():
-                cand = np.where(valued[:, j] & active, G0[:, j], -np.inf)
+            if not (support.ravel() & uses[:, j]).any():
+                cand = np.where(
+                    uses[:, j] & var_valued & np.repeat(active, k), G0.ravel(), -np.inf
+                )
                 if np.isfinite(cand.max()):
-                    support[int(np.argmax(cand)), j] = True
+                    support[divmod(int(np.argmax(cand)), k)] = True
 
     ensure_holders()
+    # more priced constraints than the rank of the support's rows of A (at
+    # most the support size) leave the usage equations dependent, and
+    # inconsistent unless all are tight: release the slackest, but never a
+    # valued variable's only priced constraint, which would leave it unpriced
+    while priced.sum() > np.linalg.matrix_rank(A[support.ravel()][:, priced]):
+        need = uses[var_valued] & priced
+        spare = priced & ~need[need.sum(axis=1) == 1].any(axis=0)
+        if not spare.any():
+            break
+        B = np.flatnonzero(spare)
+        priced[B[np.argmax(1.0 - usage[B])]] = False
 
-    X, q = X0, None
     iters = 0
     seen = set()
-    for _ in range(max_rounds):
-        key = support.tobytes()
+    for _ in range(_REFINE_ROUNDS):
+        key = support.tobytes() + priced.tobytes()
         if key in seen:
             break
         seen.add(key)
         X, q, its = _newton_system(stack, A, e, support, priced, X0)
         iters += its
+        negative = priced & (q < -1e-10)
+        if negative.any():
+            priced &= ~negative
+            X0 = X
+            continue
+        P = (A @ q).reshape(n, k)
         M, _ = _scaled_marginals(stack, X, e)
-        E = M - q
+        E = M - P
         if e == 1.0:
             # With linear prices an agent whose bundle is worth less than it
-            # costs belongs at zero: homogeneity makes welfare gain q.x - v(x)
+            # costs belongs at zero: homogeneity makes welfare gain P.x - v(x)
             # from handing its mass to the price-setting holders.  Equality
-            # supports satisfy v = deg * q.x, so a 0.1% deficit only appears
+            # supports satisfy v = deg * P.x, so a 0.1% deficit only appears
             # when Newton stalled on a dominated agent.
             V = stack.values(X)
             starve = np.zeros(n, dtype=bool)
             for i in range(n):
                 if not support[i].any():
                     continue
-                cost = float(q @ X[i])
+                cost = float(P[i] @ X[i])
                 if cost > 0.0 and V[i] < cost * (1.0 - 1e-3):
                     starve[i] = True
             if starve.any():
@@ -576,8 +614,6 @@ def _kkt_refine(stack, A, e, X0, *, max_rounds=40):
             X0 = X
             continue
         break
-    if q is None:
-        q = np.zeros(m)
     return X, q, iters
 
 
@@ -770,81 +806,6 @@ def grid_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _leontief_newton(level, W, rho, alpha_init, binding_init, *, max_rounds=12):
-    """Active-set Newton for: max (1/rho) sum alpha**rho, W^T alpha <= 1.
-
-    `level` is the level market, one unit-linear agent per level alpha_i,
-    so the shared Newton equations with packing matrix W are this
-    program's: alpha_i**(rho-1) = sum_j q_j w_ij on the active agents and
-    (W^T alpha)_j = 1 on the binding goods.  Slack is one-sided at
-    alpha_i = 0 (possible only at rho = 1, where the objective is linear).
-    Returns (alpha, binding_mask, q, iterations).
-    """
-    n, m = W.shape
-    binding = binding_init.copy()
-    if rho == 1.0:
-        act = alpha_init > 1e-9
-        if not act.any():
-            act[int(np.argmax(alpha_init))] = True
-        # a vertex of the linear program binds no more goods than it has
-        # active agents; more would overdetermine the Newton system
-        usage = W.T @ alpha_init
-        while binding.sum() > act.sum():
-            B = np.flatnonzero(binding)
-            binding[B[np.argmax(1.0 - usage[B])]] = False
-    else:
-        act = np.ones(n, dtype=bool)
-    alpha = np.maximum(alpha_init, 1e-9 if rho < 1.0 else 0.0)
-    q = np.zeros(m)
-    its = 0
-    for _ in range(max_rounds):
-        B = np.flatnonzero(binding)
-        agents = np.flatnonzero(act)
-        n_a = agents.shape[0]
-        if B.shape[0] == 0:
-            # nothing binds: only possible when supply is effectively free
-            break
-        a = np.maximum(alpha[agents], 1e-12)
-        qb = q[B] if q[B].any() else np.maximum(
-            np.linalg.lstsq(W[np.ix_(agents, B)], a ** (rho - 1.0), rcond=None)[0], 0.0
-        )
-        support = act[:, None]
-        z, steps = _damped_newton(
-            lambda zz: _newton_residual(level, W, rho, support, B, zz),
-            lambda zz: _newton_jacobian(level, W, rho, support, B, zz),
-            np.concatenate([a, qb]),
-            n_a,
-            1e-13,
-            40,
-        )
-        its += steps
-        alpha = np.zeros(n)
-        alpha[agents] = np.maximum(z[:n_a], 0.0)
-        q = np.zeros(m)
-        q[B] = z[n_a:]
-        usage = W.T @ alpha
-        changed = False
-        # goods whose multipliers went negative stop binding
-        for j in B[q[B] < -1e-10]:
-            binding[j] = False
-            changed = True
-        # violated goods start binding
-        for j in np.flatnonzero(~binding & (usage > 1.0 + 1e-10)):
-            binding[j] = True
-            changed = True
-        if rho == 1.0:
-            margin = 1.0 - W @ np.maximum(q, 0.0)
-            for i in agents[(alpha[agents] < 1e-9) & (margin[agents] < -1e-9)]:
-                act[i] = False
-                changed = True
-            for i in np.flatnonzero(~act & (margin > 1e-9)):
-                act[i] = True
-                changed = True
-        if not changed:
-            break
-    return alpha, binding, np.maximum(q, 0.0), its
-
-
 def solve_leontief(
     instance: Instance, *, tolerance: float = 1e-8, max_iters: int = 100_000
 ) -> LeontiefResult:
@@ -855,13 +816,15 @@ def solve_leontief(
     alpha_i**rho subject to W^T alpha <= 1.  That is the smooth program of
     the level market, n unit-linear agents over one variable each, with
     packing matrix W in place of the per-good supply rows, so the search
-    and the Newton equations are the smooth solver's.  The supply
-    multipliers are the KKT duals of the supply bounds from the active-set
-    Newton solve, so each agent with alpha_i > 0 pays exactly rho * alpha_i
-    under the induced rule.  At rho = 1 the Newton solve starts from no
-    more binding goods than agents with alpha_i > 0; where the duals are
-    still not unique the multipliers are the least-squares solution the
-    Newton steps reach on the binding set, clipped at 0.
+    and the active-set polish are the smooth solver's (_kkt_refine).  The
+    supply multipliers are the KKT duals of the supply bounds from that
+    polish, so each agent with alpha_i > 0 pays exactly rho * alpha_i under
+    the induced rule.  The polish prices no more goods than the rank of
+    its support levels' weight rows, which at rho = 1 is what keeps a
+    vertex from over-binding; where the duals are still not unique the
+    multipliers are the
+    least-squares solution the Newton steps reach on the priced goods,
+    clipped at 0.
     """
     _check_budget(tolerance, max_iters)
     vals = instance.valuations
@@ -873,25 +836,17 @@ def solve_leontief(
     level = ValuationStack((Linear([1.0]),) * instance.n)
 
     alpha0, it1 = _ellipsoid_phase(level, W, rho, tolerance, max_iters)
-    alpha0 = alpha0[:, 0]
-    usage = W.T @ alpha0
-    binding0 = usage > 1.0 - 1e-3
-    if not binding0.any():
-        binding0[int(np.argmax(usage - 1.0))] = True
-    alpha, binding, q, it2 = _leontief_newton(level, W, rho, alpha0, binding0)
+    Z, q, it2 = _kkt_refine(level, W, rho, alpha0)
+    q = np.maximum(q, 0.0)
+    alpha = Z[:, 0]
 
     # the stationarity residual at the Newton duals decides convergence
-    res = 0.0
-    margin = np.maximum(alpha, 1e-300) ** (rho - 1.0) - W @ q
-    pos = alpha > 0
-    if pos.any():
-        res = float(np.abs(margin[pos]).max())
-    if (~pos).any():
-        res = max(res, float(np.maximum(margin[~pos], 0.0).max()))
+    res, _ = _stationarity_residual(level.valuations, Z, (W @ q)[:, None], rho)
     usage = W.T @ alpha
     res = max(res, float(np.maximum(usage - 1.0, 0.0).max()))
-    if binding.any():
-        res = max(res, float(np.abs(usage[binding] - 1.0).max()))
+    priced = q > 0
+    if priced.any():
+        res = max(res, float(np.abs(usage[priced] - 1.0).max()))
 
     X = W * alpha[:, None]
     lam = np.where(X > 0, q[None, :], 0.0)

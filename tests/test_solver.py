@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesmarket import (
     BadParameter,
@@ -453,18 +455,98 @@ def test_leontief_single_agent():
     )
 
 
+def _assert_payment_identity(inst, res):
+    """The induced rule charges each agent rho * v_i, to rounding."""
+    rule = make_pricing_rule(res.multipliers, inst.rho, 1.0)
+    for i in range(inst.n):
+        assert abs(rule.price(res.allocation[i]) - inst.rho * res.alphas[i]) <= 1e-12
+
+
+# Two draws of the Leontief sweep, each the one market where a refine rule
+# fires: a multiplier turns negative (unprice), and the search point nearly
+# saturates more goods than there are agents with alpha_i > 0 (release).
+RULE_MARKETS = [
+    (
+        0.25,
+        [
+            [1.5115486493044903, 1.7030497805100684, 1.8649723064938137, 0.5097484042718763],
+            [0.4560768523577361, 1.9793816891391072, 0.4984860246727001, 0.6005728505327232],
+            [1.2774199875093324, 1.0586641616923789, 1.575666725257316, 0.6239473218687928],
+            [1.854527194651863, 0.6692312387231282, 1.6074886833172877, 0.4149259929659031],
+            [1.104784399187181, 0.35534915529682803, 0.833478200875075, 0.8307921460975494],
+        ],
+    ),
+    (
+        1.0,
+        [
+            [0.3372776236357561, 1.3445965595497336, 0.47360882708771135,
+             0.36589956419213254, 1.7699504794062135, 1.7377642934436055],
+            [1.8629640219507417, 0.4716454438344283, 0.8281092585721435,
+             0.6265165575299313, 0.8601771599110144, 0.5254071090674857],
+            [1.216979706355986, 1.672472269814415, 1.9318902485758576,
+             1.6665499883207544, 1.1140828447309299, 0.9146779161060155],
+        ],
+    ),
+]
+
+
 def test_leontief_multipliers_satisfy_payment_identity():
-    # the induced rule charges each agent rho * v_i, to rounding
     # draw 23 binds more goods than agents at rho = 1 after the search
     rng = np.random.default_rng(0)
     for _ in range(30):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         rho = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         inst = Instance(tuple(Leontief(rng.uniform(0.3, 2.0, m)) for _ in range(n)), rho)
-        res = solve_leontief(inst)
-        rule = make_pricing_rule(res.multipliers, rho, 1.0)
-        for i in range(n):
-            assert abs(rule.price(res.allocation[i]) - rho * res.alphas[i]) <= 1e-12
+        _assert_payment_identity(inst, solve_leontief(inst))
+    for rho, W in RULE_MARKETS:
+        inst = Instance(tuple(Leontief(w) for w in W), rho)
+        _assert_payment_identity(inst, solve_leontief(inst))
+
+
+@pytest.mark.parametrize(
+    "rho, W",
+    [
+        # the tied agent 0 was left at alpha 9.7e-7, counted as active
+        (1.0, [[1.0], [0.5], [0.5]]),
+        (1.0, [[1.2012436058959137], [1.0], [1.0]]),
+        (1.0, [[1.0], [1.5239214129139889], [1.0]]),
+        (0.5, [[0.9157353936054806, 0.0, 0.0], [0.0, 1.3868895782008253, 1.3862222905454564]]),
+        # releasing good 0, the idle agent 0's only constraint, leaves it unpriced
+        (1.0, [[1.0, 0.0], [0.5, 0.5]]),
+        # identical agents: two priced goods, but their usage rows have rank 1
+        (0.25, [[1.3137991892148941, 1.3125], [1.3137991892148941, 1.3125]]),
+    ],
+    ids=[
+        "tie-1-half-half",
+        "rho1-three-agents",
+        "rho1-middle-wins",
+        "rho-half-zero-weights",
+        "rho1-idle-agent-keeps-its-good",
+        "identical-agents-rank-one",
+    ],
+)
+def test_leontief_markets_that_stalled_certify(rho, W):
+    inst = Instance(tuple(Leontief(w) for w in W), rho)
+    _assert_payment_identity(inst, solve_leontief(inst))
+
+
+@st.composite
+def leontief_markets(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    rho = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    weight = st.one_of(st.just(0.0), st.floats(0.3, 2.0))
+    row = st.lists(weight, min_size=m, max_size=m).filter(any)
+    return Instance(tuple(Leontief(draw(row)) for _ in range(n)), rho)
+
+
+@settings(max_examples=50)
+@given(leontief_markets())
+def test_leontief_solve_certifies_property(inst):
+    res = solve_leontief(inst)    # raises DidNotConverge unless certified
+    _assert_payment_identity(inst, res)
+    W = np.stack([v.weights for v in inst.valuations])
+    assert np.all(W.T @ res.alphas <= 1.0 + 1e-9)
 
 
 def test_leontief_vs_grid():
