@@ -83,7 +83,7 @@ _DROP_X = 1e-8            # support coordinates at/below this may be dropped
 _DROP_RES = -1e-7         # ... when their marginal sits this far below price
 _ADD_RES = 1e-9           # off-support marginal excess that re-opens a coordinate
 _NEWTON_FLOOR = 1e-13     # support coordinates are evaluated at least here
-_NEWTON_RTOL = 1e-12      # Newton stops at max |F| <= this * max(1, max |q|)
+_NEWTON_RTOL = 1e-13      # Newton stops at max |F| <= this * max(1, max |q|)
 _NEWTON_STEPS = 60        # Newton steps per equality solve
 _REFINE_ROUNDS = 40       # support and priced-set repairs per refine
 _FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
@@ -372,21 +372,24 @@ def _support_point(support, z):
     return X
 
 
+def _bundles(X, A):
+    """Per-agent bundles (n, m): each agent's variables through its rows of A."""
+    n, k = X.shape
+    return (X[:, :, None] * A.reshape(n, k, -1)).sum(axis=1)
+
+
 def _newton_residual(stack, A, e, support, pr, z):
     """Scaled marginal minus (A q) on the support, then usage - 1 on goods pr.
 
-    Usage sums the per-agent bundles, each agent's variables weighted by
-    its rows of A.
+    Usage sums the per-agent bundles (_bundles).
     """
     n_x = int(support.sum())
     X = _support_point(support, z)
     M, _ = _scaled_marginals(stack, X, e)
-    n, k = support.shape
-    bundles = (X[:, :, None] * A.reshape(n, k, -1)).sum(axis=1)
     return np.concatenate(
         [
             M[support] - A[:, pr][support.ravel()] @ z[n_x:],
-            bundles.sum(axis=0)[pr] - 1.0,
+            _bundles(X, A).sum(axis=0)[pr] - 1.0,
         ]
     )
 
@@ -475,8 +478,7 @@ def _newton_system(stack, A, e, support, priced, X_init):
     A3 = A.reshape(n, k, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         per_unit = np.where(A3 > 0.0, M[:, :, None] / A3, 0.0).sum(axis=1)
-    bundles = (X[:, :, None] * A3).sum(axis=1)
-    qs0 = _holder_mean(per_unit, bundles, empty=1.0)[pr]
+    qs0 = _holder_mean(per_unit, _bundles(X, A), empty=1.0)[pr]
     z, its = _damped_newton(
         lambda zz: _newton_residual(stack, A, e, support, pr, zz),
         lambda zz: _newton_jacobian(stack, A, e, support, pr, zz),
@@ -506,7 +508,8 @@ def _kkt_refine(stack, A, e, X0):
     or singular.  Then it solves that system by
     Newton's method and repairs the guess until the full system is
     consistent: it unprices constraints whose multiplier turns negative,
-    drops coordinates that want out and adds profitable ones.
+    prices constraints the solution oversubscribes, drops coordinates that
+    want out and adds profitable ones.
     """
     n, k = X0.shape
     vals = stack.valuations
@@ -572,6 +575,11 @@ def _kkt_refine(stack, A, e, X0):
         negative = priced & (q < -1e-10)
         if negative.any():
             priced &= ~negative
+            X0 = X
+            continue
+        over = ~priced & (X.ravel() @ A > 1.0 + 1e-10)
+        if over.any():
+            priced |= over
             X0 = X
             continue
         P = (A @ q).reshape(n, k)

@@ -462,34 +462,6 @@ def _assert_payment_identity(inst, res):
         assert abs(rule.price(res.allocation[i]) - inst.rho * res.alphas[i]) <= 1e-12
 
 
-# Two draws of the Leontief sweep, each the one market where a refine rule
-# fires: a multiplier turns negative (unprice), and the search point nearly
-# saturates more goods than there are agents with alpha_i > 0 (release).
-RULE_MARKETS = [
-    (
-        0.25,
-        [
-            [1.5115486493044903, 1.7030497805100684, 1.8649723064938137, 0.5097484042718763],
-            [0.4560768523577361, 1.9793816891391072, 0.4984860246727001, 0.6005728505327232],
-            [1.2774199875093324, 1.0586641616923789, 1.575666725257316, 0.6239473218687928],
-            [1.854527194651863, 0.6692312387231282, 1.6074886833172877, 0.4149259929659031],
-            [1.104784399187181, 0.35534915529682803, 0.833478200875075, 0.8307921460975494],
-        ],
-    ),
-    (
-        1.0,
-        [
-            [0.3372776236357561, 1.3445965595497336, 0.47360882708771135,
-             0.36589956419213254, 1.7699504794062135, 1.7377642934436055],
-            [1.8629640219507417, 0.4716454438344283, 0.8281092585721435,
-             0.6265165575299313, 0.8601771599110144, 0.5254071090674857],
-            [1.216979706355986, 1.672472269814415, 1.9318902485758576,
-             1.6665499883207544, 1.1140828447309299, 0.9146779161060155],
-        ],
-    ),
-]
-
-
 def test_leontief_multipliers_satisfy_payment_identity():
     # draw 23 binds more goods than agents at rho = 1 after the search
     rng = np.random.default_rng(0)
@@ -497,9 +469,6 @@ def test_leontief_multipliers_satisfy_payment_identity():
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         rho = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
         inst = Instance(tuple(Leontief(rng.uniform(0.3, 2.0, m)) for _ in range(n)), rho)
-        _assert_payment_identity(inst, solve_leontief(inst))
-    for rho, W in RULE_MARKETS:
-        inst = Instance(tuple(Leontief(w) for w in W), rho)
         _assert_payment_identity(inst, solve_leontief(inst))
 
 
@@ -515,6 +484,35 @@ def test_leontief_multipliers_satisfy_payment_identity():
         (1.0, [[1.0, 0.0], [0.5, 0.5]]),
         # identical agents: two priced goods, but their usage rows have rank 1
         (0.25, [[1.3137991892148941, 1.3125], [1.3137991892148941, 1.3125]]),
+        # a rho = 1 vertex where agent 1 is starved and good 0 ends unpriced
+        # and oversubscribed until the refine prices it again
+        (1.0, [[1.5, 0.0, 1.4320068692783616, 0.5], [1.0, 0.31376299786676265, 0.0, 1.0]]),
+        # needs the 1e-13 Newton target: at 1e-12 its payment gap is 1.4e-12
+        (0.75, [[0.0, 0.375], [1.1673767338595415, 0.0], [0.0, 0.375], [0.0, 0.375]]),
+        # two draws of the Leontief sweep, each the one where a refine rule
+        # fires: a multiplier turns negative (unprice), and the search point
+        # nearly saturates more goods than there are agents with alpha_i > 0
+        (
+            0.25,
+            [
+                [1.5115486493044903, 1.7030497805100684, 1.8649723064938137, 0.5097484042718763],
+                [0.4560768523577361, 1.9793816891391072, 0.4984860246727001, 0.6005728505327232],
+                [1.2774199875093324, 1.0586641616923789, 1.575666725257316, 0.6239473218687928],
+                [1.854527194651863, 0.6692312387231282, 1.6074886833172877, 0.4149259929659031],
+                [1.104784399187181, 0.35534915529682803, 0.833478200875075, 0.8307921460975494],
+            ],
+        ),
+        (
+            1.0,
+            [
+                [0.3372776236357561, 1.3445965595497336, 0.47360882708771135,
+                 0.36589956419213254, 1.7699504794062135, 1.7377642934436055],
+                [1.8629640219507417, 0.4716454438344283, 0.8281092585721435,
+                 0.6265165575299313, 0.8601771599110144, 0.5254071090674857],
+                [1.216979706355986, 1.672472269814415, 1.9318902485758576,
+                 1.6665499883207544, 1.1140828447309299, 0.9146779161060155],
+            ],
+        ),
     ],
     ids=[
         "tie-1-half-half",
@@ -523,6 +521,10 @@ def test_leontief_multipliers_satisfy_payment_identity():
         "rho-half-zero-weights",
         "rho1-idle-agent-keeps-its-good",
         "identical-agents-rank-one",
+        "rho1-vertex-reprices-good-0",
+        "payment-gap-at-newton-stop",
+        "unprice-7-30",
+        "release-3-118",
     ],
 )
 def test_leontief_markets_that_stalled_certify(rho, W):
