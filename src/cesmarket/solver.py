@@ -16,22 +16,20 @@ Both solvers solve one packing program: a concave objective over the
 variables of a ValuationStack subject to z >= 0 and A^T z <= 1 for a
 packing matrix A.  The allocation program stacks one identity per agent
 (sum_i x_ij <= 1); the Leontief program is the level market of n
-unit-linear agents over their levels alpha_i, with A = W.  Both take the
-same steps: _check_budget, an ellipsoid search (_ellipsoid_phase), one
-active-set Newton polish (_kkt_refine, whose equality solves go through
-_newton_residual, _newton_jacobian and _damped_newton), and a first-order
-residual from _stationarity_residual that decides convergence.  The
-smooth program repeats search and polish at growing search budgets (100,
-400, ..., max_iters) and stops at the first attempt the residual
-certifies, so the search runs only as long as the polish needs; the
-Leontief program searches once with the full budget.
-Every first-order check of the smooth program goes
-through one kernel, _scaled_marginals: the allocation is supported by the
-convex price rule exactly when each held coordinate's scaled marginal
-v_i**(e-1) * dv_i/dx_ij equals q_j and each unheld one is at most q_j.  Its
-derivative, _marginal_jacobian, supplies the Newton steps.  Both, and the
-search objective, evaluate all agents at once through one ValuationStack
-built per solve.
+unit-linear agents over their levels alpha_i, with A = W.  Both run
+through one driver, _solve_smooth: _check_budget, then attempts at
+growing search budgets (100, 400, ..., max_iters), each an ellipsoid
+search (_ellipsoid_phase) and one active-set Newton polish (_kkt_refine,
+whose equality solves go through _newton_residual, _newton_jacobian and
+_damped_newton), stopping at the first attempt that kkt_residual, the
+one first-order residual of the packing program, certifies.  The search
+thus runs only as long as the polish needs.  Every first-order check goes
+through one kernel, _scaled_marginals: a point is supported by the convex
+price rule exactly when each held variable's scaled marginal
+v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
+its price.  Its derivative, _marginal_jacobian, supplies the Newton steps.
+Both, and the search objective, evaluate all agents at once through one
+ValuationStack built per solve.
 """
 
 from __future__ import annotations
@@ -255,7 +253,7 @@ def _holder_mean(M, X, empty=0.0):
 
 
 def _value_per_cost(v, q):
-    """Largest v(x) / (q . x) of an agent whose degree is 1 within DEGREE_TOL.
+    """Largest v(x) / (q . x) of an agent of degree 1.
 
     Closed forms cover the kinds whose partials diverge at zero at degree 1
     (Cobb-Douglas, CES with sigma < 1).  Any other kind only diverges below
@@ -273,47 +271,60 @@ def _value_per_cost(v, q):
     return np.inf
 
 
-def _stationarity_residual(vals, X, q, e, weights=None):
-    """Worst violation of [scaled marginal <= q_j, equality where x_ij > 0].
+def _stationarity_residual(vals, X, P, e, weights=None):
+    """Worst violation of [scaled marginal <= P_ij, equality where x_ij > 0].
 
-    Agents with zero weight impose no conditions.  A partial that diverges
-    at a zero holding is a violation, with one exception: at e = 1 an agent
-    of degree 1 that holds none of its valued goods has those coordinates
-    waived, and must instead value no bundle above its cost at q; its best
-    value per unit cost minus 1 is the residual on the waived coordinates.
-    Returns (residual, waived coordinate list).
+    P holds each agent's price row (one shared row broadcasts).  Agents
+    with zero weight impose no conditions.  A partial that diverges at a
+    zero holding is a violation, with one exception: at e = 1 an agent of
+    degree 1 that holds none of its valued goods has those coordinates
+    waived, and must instead value no bundle above its cost at its prices;
+    its best value per unit cost minus 1 is the residual on the waived
+    coordinates.  Returns (residual, waived coordinate list).
     """
+    P = np.broadcast_to(P, X.shape)
     M, div = _scaled_marginals(ValuationStack(vals), X, e, weights)
     with np.errstate(invalid="ignore"):
-        E = M - q
+        E = M - P
         gap = np.where(X > 0.0, np.abs(E), np.maximum(E, 0.0))
     gap[div] = np.inf
     waived = []
     for i in np.flatnonzero(div.any(axis=1)):
         v = vals[i]
         idle = not X[i, v.valued_goods()].any()
-        if e == 1.0 and idle and abs(v.degree - 1.0) <= DEGREE_TOL:
-            gap[i, div[i]] = max(_value_per_cost(v, q) - 1.0, 0.0)
+        if e == 1.0 and idle and v.degree == 1.0:
+            gap[i, div[i]] = max(_value_per_cost(v, P[i]) - 1.0, 0.0)
             waived += [(int(i), int(j)) for j in np.flatnonzero(div[i])]
     if weights is not None:
         gap = gap[np.asarray(weights) != 0.0]
     return float(gap.max(initial=0.0)), waived
 
 
-def kkt_residual(vals, rho, X, q):
-    """Max first-order violation of the welfare program at (X, q).
+def _supply_rows(n, m):
+    """The allocation program's packing matrix: sum_i x_ij <= 1 per good j."""
+    return np.tile(np.eye(m), (n, 1))
 
-    `rho` is the exponent of the program (0 for the log program).  Held
-    coordinates must price exactly and unheld ones must not be profitable,
-    under the waiver rule of _stationarity_residual; q must be nonnegative,
-    and goods with q_j > 0 must clear.
+
+def kkt_residual(vals, rho, X, q, A=None):
+    """Max first-order violation of the packing program at (X, q).
+
+    `rho` is the exponent of the program (0 for the log program).  X holds
+    the stack's (n, k) variables, packed by the (n k, m) matrix A (default
+    _supply_rows, k = m) and priced at A q.  Held variables must price
+    exactly and unheld ones must not be profitable, under the waiver rule
+    of _stationarity_residual; q must be nonnegative, no constraint may be
+    oversubscribed, and constraints with q_j > 0 must be tight.
     """
-    res, _ = _stationarity_residual(vals, X, q, rho)
+    n, k = X.shape
+    A = _supply_rows(n, k) if A is None else A
+    res, _ = _stationarity_residual(vals, X, (A @ q).reshape(n, k), rho)
     if np.any(q < 0):
         res = max(res, float(-q.min()))
+    usage = _bundles(X, A).sum(axis=0)
+    res = max(res, float(usage.max()) - 1.0)
     priced = q > 0
     if priced.any():
-        res = max(res, float(np.abs(X[:, priced].sum(axis=0) - 1.0).max()))
+        res = max(res, float(np.abs(usage[priced] - 1.0).max()))
     return res
 
 
@@ -489,8 +500,8 @@ def _newton_system(stack, A, e, support, priced, X_init):
     X[support] = np.maximum(z[:n_x], 0.0)
     q = np.zeros(A.shape[1])
     q[pr] = z[n_x:]
-    # snap numerically-zero artifacts
-    q[(q < 0) & (q > -1e-11)] = 0.0
+    # snap numerically-zero artifacts; the refine unprices anything below
+    q[(q < 0) & (q >= -1e-10)] = 0.0
     return X, q, its
 
 
@@ -633,31 +644,32 @@ def _check_budget(tolerance, max_iters):
         raise BadParameter("max_iters must be at least 1")
 
 
-def _solve_smooth(stack, e, *, tolerance, max_iters):
-    """Search then refine the program with exponent e (0 for the log program).
+def _solve_smooth(stack, e, *, tolerance, max_iters, A=None):
+    """Search then refine the packing program with exponent e (0: log program).
 
-    Attempt k searches from scratch with budget min(_FIRST_BUDGET * 4**k,
-    max_iters) and refines the search's best point.  The first attempt
-    whose first-order residual is within `tolerance` is returned, and so is
-    one whose search stopped before its budget (the search is
-    deterministic, so a larger budget would replay the same iterates) or
-    ran the full max_iters.  Returns (X, q, iterations of every attempt,
-    residual).
+    A is the (n k, m) packing matrix, by default the allocation program's
+    supply rows.  Attempt k searches from scratch with budget
+    min(_FIRST_BUDGET * 4**k, max_iters) and refines the search's best
+    point.  The first attempt whose kkt_residual is within `tolerance` is
+    returned, and so is one whose search stopped before its budget (the
+    search is deterministic, so a larger budget would replay the same
+    iterates) or ran the full max_iters.  Returns (X, q, iterations of
+    every attempt, residual).
     """
+    _check_budget(tolerance, max_iters)
     for v in stack.valuations:
         if isinstance(v, Leontief):
             raise UnsupportedValuation(
                 "Leontief valuations have no gradient; use solve_leontief"
             )
-    n, m = stack.n, stack.m
-    A = np.tile(np.eye(m), (n, 1))      # sum_i x_ij <= 1 per good j
+    A = _supply_rows(stack.n, stack.m) if A is None else A
     budget = min(_FIRST_BUDGET, max_iters)
     iters = 0
     while True:
         X0, searched = _ellipsoid_phase(stack, A, e, tolerance, budget)
         X, q, polished = _kkt_refine(stack, A, e, X0)
         iters += searched + polished
-        residual = kkt_residual(stack.valuations, e, X, q)
+        residual = kkt_residual(stack.valuations, e, X, q, A)
         if residual <= tolerance or searched < budget or budget == max_iters:
             return X, q, iters, residual
         budget = min(4 * budget, max_iters)
@@ -683,7 +695,6 @@ def solve_ces(
     DidNotConverge (carrying the best iterate) when the final first-order
     residual exceeds `tolerance`.
     """
-    _check_budget(tolerance, max_iters)
     stack = ValuationStack(instance.valuations)
     X, q, iters, residual = _solve_smooth(
         stack, instance.rho, tolerance=tolerance, max_iters=max_iters
@@ -821,20 +832,17 @@ def solve_leontief(
 
     Works in the attained-level variables alpha_i (x_ij = w_ij * alpha_i is
     then the minimal bundle reaching alpha_i): maximize (1/rho) sum
-    alpha_i**rho subject to W^T alpha <= 1.  That is the smooth program of
+    alpha_i**rho subject to W^T alpha <= 1.  That is the packing program of
     the level market, n unit-linear agents over one variable each, with
-    packing matrix W in place of the per-good supply rows, so the search
-    and the active-set polish are the smooth solver's (_kkt_refine).  The
-    supply multipliers are the KKT duals of the supply bounds from that
-    polish, so each agent with alpha_i > 0 pays exactly rho * alpha_i under
-    the induced rule.  The polish prices no more goods than the rank of
-    its support levels' weight rows, which at rho = 1 is what keeps a
-    vertex from over-binding; where the duals are still not unique the
-    multipliers are the
-    least-squares solution the Newton steps reach on the priced goods,
-    clipped at 0.
+    A = W, so the smooth solver's driver (_solve_smooth) solves it, and
+    certifies it at `tolerance`, as it does for solve_ces.  The supply
+    multipliers are the KKT duals of the supply bounds from its polish, so
+    each agent with alpha_i > 0 pays exactly rho * alpha_i under the
+    induced rule.  The polish prices no more goods than the rank of its
+    support levels' weight rows, which at rho = 1 keeps a vertex from
+    over-binding; where the duals are still not unique the multipliers are
+    the least-squares solution the Newton steps reach on the priced goods.
     """
-    _check_budget(tolerance, max_iters)
     vals = instance.valuations
     for v in vals:
         if not isinstance(v, Leontief):
@@ -842,20 +850,10 @@ def solve_leontief(
     rho = instance.rho
     W = np.stack([v.weights for v in vals])
     level = ValuationStack((Linear([1.0]),) * instance.n)
-
-    alpha0, it1 = _ellipsoid_phase(level, W, rho, tolerance, max_iters)
-    Z, q, it2 = _kkt_refine(level, W, rho, alpha0)
-    q = np.maximum(q, 0.0)
+    Z, q, iters, res = _solve_smooth(
+        level, rho, tolerance=tolerance, max_iters=max_iters, A=W
+    )
     alpha = Z[:, 0]
-
-    # the stationarity residual at the Newton duals decides convergence
-    res, _ = _stationarity_residual(level.valuations, Z, (W @ q)[:, None], rho)
-    usage = W.T @ alpha
-    res = max(res, float(np.maximum(usage - 1.0, 0.0).max()))
-    priced = q > 0
-    if priced.any():
-        res = max(res, float(np.abs(usage[priced] - 1.0).max()))
-
     X = W * alpha[:, None]
     lam = np.where(X > 0, q[None, :], 0.0)
     result = LeontiefResult(
@@ -864,10 +862,11 @@ def solve_leontief(
         multipliers=q,
         duals=lam,
         objective=ces_objective(WelfareParams(rho), alpha),
-        iterations=it1 + it2,
+        iterations=iters,
     )
-    if not np.isfinite(res) or res > max(tolerance, 1e-9):
+    if not np.isfinite(res) or res > tolerance:
         raise DidNotConverge(
-            f"Leontief first-order residual {res:.3e} above tolerance", result=result
+            f"Leontief first-order residual {res:.3e} above tolerance {tolerance:.1e}",
+            result=result,
         )
     return result

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadMultiplicity, BadParameter, NotEquilibrium, UnsupportedDegree
 from .pricing import PricingRule, we_certificate
 from .solver import Instance, as_allocation
-from .valuations import DEGREE_TOL, Valuation, as_bundle
+from .valuations import Valuation, as_bundle
 
 
 class SybilStatus(enum.Enum):
@@ -103,7 +103,7 @@ def swe_check(
     threshold test; cap = kappa / (1 - rho) bounds each stable agent's
     value and n**(1/rho) * cap bounds the attainable welfare.
     """
-    if abs(instance.degree - 1.0) > DEGREE_TOL:
+    if instance.degree != 1.0:
         raise UnsupportedDegree(
             f"Sybil analysis covers degree-1 valuations only, got degree "
             f"{instance.degree}"

@@ -41,8 +41,8 @@ HOMOGENEITY_RTOL = 1e-8
 _HOMOGENEITY_SCALES = (0.25, 0.5, 2.0)
 
 # Degrees within this of each other are one degree: agents of an instance
-# must share theirs to it, and a degree up to 1 + DEGREE_TOL (exponents that
-# sum one ulp past 1) is taken as exactly 1.
+# must share theirs to it, and a degree within DEGREE_TOL of 1 (exponents
+# that sum one ulp either side of 1) is taken as exactly 1.
 DEGREE_TOL = 1e-9
 
 
@@ -96,7 +96,7 @@ class Valuation(ABC):
         if not (0.0 < degree <= 1.0 + DEGREE_TOL):
             raise BadParameter(f"degree must lie in (0, 1], got {degree}")
         self.m = int(m)
-        self.degree = min(float(degree), 1.0)
+        self.degree = 1.0 if degree >= 1.0 - DEGREE_TOL else float(degree)
 
     # -- required per-kind operations -------------------------------------
 

@@ -1,6 +1,7 @@
 """Allocation solvers: closed form, ellipsoid, grid oracle, Leontief."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cesmarket import (
     Leontief,
     Linear,
     NotLeontief,
+    Power,
     TooLarge,
     UnsupportedValuation,
     WelfareParams,
@@ -34,6 +36,7 @@ from cesmarket.solver import (
     _kkt_refine,
     _newton_jacobian,
     _newton_residual,
+    _supply_rows,
     as_allocation,
     kkt_residual,
 )
@@ -54,7 +57,7 @@ def test_instance_validation():
         Instance((Linear([1.0]),), 1.5)
     with pytest.raises(EmptyInput):
         Instance((), 0.5)
-    from cesmarket import DimensionMismatch, Power
+    from cesmarket import DimensionMismatch
 
     with pytest.raises(DimensionMismatch):
         Instance((Linear([1.0]), Linear([1.0, 2.0])), 0.5)
@@ -139,6 +142,14 @@ def test_solve_water_instance_rho_one():
     res = solve_ces(water_instance(1.0))
     np.testing.assert_allclose(res.allocation[:, 0], [0.0, 1.0, 0.0], atol=1e-8)
     assert res.objective == pytest.approx(6.0, abs=1e-8)
+
+
+def test_solve_power_one_ulp_below_degree_one():
+    # degree 1 - 1 ulp once kept the idle agents active: residual inf
+    vals = tuple(Power(w, np.nextafter(1.0, 0.0)) for w in (1.0, 2.0, 1.0))
+    res = solve_ces(Instance(vals, 1.0))
+    np.testing.assert_allclose(res.allocation[:, 0], [0.0, 1.0, 0.0], atol=1e-8)
+    assert res.max_kkt_residual <= 1e-8
 
 
 def test_solve_symmetric_cobb_douglas():
@@ -240,12 +251,11 @@ def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
     assert res.max_kkt_residual <= 1e-8
 
 
-def _full_search_then_refine(inst, max_iters):
+def _full_search_then_refine(stack, e, max_iters, A=None):
     """The single search-then-polish that ends every uncertified solve."""
-    stack = ValuationStack(inst.valuations)
-    A = np.tile(np.eye(inst.m), (inst.n, 1))
-    X0, _ = _ellipsoid_phase(stack, A, inst.rho, 1e-8, max_iters)
-    return _kkt_refine(stack, A, inst.rho, X0)
+    A = _supply_rows(stack.n, stack.m) if A is None else A
+    X0, _ = _ellipsoid_phase(stack, A, e, 1e-8, max_iters)
+    return _kkt_refine(stack, A, e, X0)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +282,7 @@ def test_fall_through_matches_full_search():
     sigmas = [0.8, 1.0, 1.0]
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 0.25)
     res = solve_ces(inst)
-    X, q, _ = _full_search_then_refine(inst, 100_000)
+    X, q, _ = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 100_000)
     assert np.array_equal(res.allocation, X)
     assert np.array_equal(res.multipliers, q)
     assert res.iterations > 6155    # every attempt's iterations count
@@ -297,7 +307,7 @@ def test_search_stops_silently_when_the_ellipsoid_overflows():
 def test_budget_below_first_attempt_is_one_search():
     rng = np.random.default_rng(0)
     inst = Instance(tuple(Linear(w) for w in rng.uniform(0.3, 3.0, (3, 3))), 0.5)
-    X, q, _ = _full_search_then_refine(inst, 50)
+    X, q, _ = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 50)
     try:
         res = solve_ces(inst, max_iters=50)
     except DidNotConverge as err:
@@ -373,6 +383,17 @@ def test_kkt_residual_flags_suboptimal_points():
     assert kkt_residual(inst.valuations, 0.5, x_opt, q) <= 1e-9
     x_bad = np.array([[0.4], [0.3], [0.3]])
     assert kkt_residual(inst.valuations, 0.5, x_bad, q) > 0.01
+    # good 1 is unpriced, valued by nobody and oversubscribed by 0.4
+    X = np.array([[0.5, 0.7], [0.5, 0.7]])
+    res = kkt_residual((Linear([1.0, 0.0]),) * 2, 1.0, X, np.array([1.0, 0.0]))
+    assert res == pytest.approx(0.4)
+    # the level market of solve_leontief: levels packed by its weights
+    W = np.array([[1.0, 2.0], [2.0, 0.5], [1.0, 1.0]])
+    out = solve_leontief(Instance(tuple(Leontief(w) for w in W), 0.5))
+    level = (Linear([1.0]),) * 3
+    Z = out.alphas[:, None]
+    assert kkt_residual(level, 0.5, Z, out.multipliers, W) <= 1e-8
+    assert kkt_residual(level, 0.5, 1.01 * Z, out.multipliers, W) > 1e-3
 
 
 # -- multiplier extraction --------------------------------------------------------
@@ -472,64 +493,93 @@ def test_leontief_multipliers_satisfy_payment_identity():
         _assert_payment_identity(inst, solve_leontief(inst))
 
 
+# Leontief markets that once failed to certify, each with the reason
+STALLED_LEONTIEF = [
+    # the tied agent 0 was left at alpha 9.7e-7, counted as active
+    (1.0, [[1.0], [0.5], [0.5]]),
+    (1.0, [[1.2012436058959137], [1.0], [1.0]]),
+    (1.0, [[1.0], [1.5239214129139889], [1.0]]),
+    (0.5, [[0.9157353936054806, 0.0, 0.0], [0.0, 1.3868895782008253, 1.3862222905454564]]),
+    # releasing good 0, the idle agent 0's only constraint, leaves it unpriced
+    (1.0, [[1.0, 0.0], [0.5, 0.5]]),
+    # identical agents: two priced goods, but their usage rows have rank 1
+    (0.25, [[1.3137991892148941, 1.3125], [1.3137991892148941, 1.3125]]),
+    # a rho = 1 vertex where agent 1 is starved and good 0 ends unpriced
+    # and oversubscribed until the refine prices it again
+    (1.0, [[1.5, 0.0, 1.4320068692783616, 0.5], [1.0, 0.31376299786676265, 0.0, 1.0]]),
+    # needs the 1e-13 Newton target: at 1e-12 its payment gap is 1.4e-12
+    (0.75, [[0.0, 0.375], [1.1673767338595415, 0.0], [0.0, 0.375], [0.0, 0.375]]),
+    # two draws of the Leontief sweep, each the one where a refine rule
+    # fires: a multiplier turns negative (unprice), and the search point
+    # nearly saturates more goods than there are agents with alpha_i > 0
+    (
+        0.25,
+        [
+            [1.5115486493044903, 1.7030497805100684, 1.8649723064938137, 0.5097484042718763],
+            [0.4560768523577361, 1.9793816891391072, 0.4984860246727001, 0.6005728505327232],
+            [1.2774199875093324, 1.0586641616923789, 1.575666725257316, 0.6239473218687928],
+            [1.854527194651863, 0.6692312387231282, 1.6074886833172877, 0.4149259929659031],
+            [1.104784399187181, 0.35534915529682803, 0.833478200875075, 0.8307921460975494],
+        ],
+    ),
+    (
+        1.0,
+        [
+            [0.3372776236357561, 1.3445965595497336, 0.47360882708771135,
+             0.36589956419213254, 1.7699504794062135, 1.7377642934436055],
+            [1.8629640219507417, 0.4716454438344283, 0.8281092585721435,
+             0.6265165575299313, 0.8601771599110144, 0.5254071090674857],
+            [1.216979706355986, 1.672472269814415, 1.9318902485758576,
+             1.6665499883207544, 1.1140828447309299, 0.9146779161060155],
+        ],
+    ),
+]
+STALLED_IDS = [
+    "tie-1-half-half",
+    "rho1-three-agents",
+    "rho1-middle-wins",
+    "rho-half-zero-weights",
+    "rho1-idle-agent-keeps-its-good",
+    "identical-agents-rank-one",
+    "rho1-vertex-reprices-good-0",
+    "payment-gap-at-newton-stop",
+    "unprice-7-30",
+    "release-3-118",
+]
+
+
 @pytest.mark.parametrize(
     "rho, W",
-    [
-        # the tied agent 0 was left at alpha 9.7e-7, counted as active
-        (1.0, [[1.0], [0.5], [0.5]]),
-        (1.0, [[1.2012436058959137], [1.0], [1.0]]),
-        (1.0, [[1.0], [1.5239214129139889], [1.0]]),
-        (0.5, [[0.9157353936054806, 0.0, 0.0], [0.0, 1.3868895782008253, 1.3862222905454564]]),
-        # releasing good 0, the idle agent 0's only constraint, leaves it unpriced
-        (1.0, [[1.0, 0.0], [0.5, 0.5]]),
-        # identical agents: two priced goods, but their usage rows have rank 1
-        (0.25, [[1.3137991892148941, 1.3125], [1.3137991892148941, 1.3125]]),
-        # a rho = 1 vertex where agent 1 is starved and good 0 ends unpriced
-        # and oversubscribed until the refine prices it again
-        (1.0, [[1.5, 0.0, 1.4320068692783616, 0.5], [1.0, 0.31376299786676265, 0.0, 1.0]]),
-        # needs the 1e-13 Newton target: at 1e-12 its payment gap is 1.4e-12
-        (0.75, [[0.0, 0.375], [1.1673767338595415, 0.0], [0.0, 0.375], [0.0, 0.375]]),
-        # two draws of the Leontief sweep, each the one where a refine rule
-        # fires: a multiplier turns negative (unprice), and the search point
-        # nearly saturates more goods than there are agents with alpha_i > 0
-        (
-            0.25,
-            [
-                [1.5115486493044903, 1.7030497805100684, 1.8649723064938137, 0.5097484042718763],
-                [0.4560768523577361, 1.9793816891391072, 0.4984860246727001, 0.6005728505327232],
-                [1.2774199875093324, 1.0586641616923789, 1.575666725257316, 0.6239473218687928],
-                [1.854527194651863, 0.6692312387231282, 1.6074886833172877, 0.4149259929659031],
-                [1.104784399187181, 0.35534915529682803, 0.833478200875075, 0.8307921460975494],
-            ],
-        ),
-        (
-            1.0,
-            [
-                [0.3372776236357561, 1.3445965595497336, 0.47360882708771135,
-                 0.36589956419213254, 1.7699504794062135, 1.7377642934436055],
-                [1.8629640219507417, 0.4716454438344283, 0.8281092585721435,
-                 0.6265165575299313, 0.8601771599110144, 0.5254071090674857],
-                [1.216979706355986, 1.672472269814415, 1.9318902485758576,
-                 1.6665499883207544, 1.1140828447309299, 0.9146779161060155],
-            ],
-        ),
-    ],
-    ids=[
-        "tie-1-half-half",
-        "rho1-three-agents",
-        "rho1-middle-wins",
-        "rho-half-zero-weights",
-        "rho1-idle-agent-keeps-its-good",
-        "identical-agents-rank-one",
-        "rho1-vertex-reprices-good-0",
-        "payment-gap-at-newton-stop",
-        "unprice-7-30",
-        "release-3-118",
-    ],
+    STALLED_LEONTIEF
+    # the full search stalls the refine at alpha (0, .4615, 0, 0), residual
+    # .769; the second attempt's point certifies
+    + [(1.0, [[2.5, 2.0, 1.5], [0.5, 0.5, 2.5], [1.5, 1.5, 1.0], [1.5, 2.0, 1.5]])],
+    ids=STALLED_IDS + ["rho1-full-search-stalls"],
 )
 def test_leontief_markets_that_stalled_certify(rho, W):
     inst = Instance(tuple(Leontief(w) for w in W), rho)
     _assert_payment_identity(inst, solve_leontief(inst))
+
+
+@pytest.mark.parametrize("rho, W", STALLED_LEONTIEF, ids=STALLED_IDS)
+def test_leontief_full_search_then_refine_certifies(rho, W):
+    # early attempts certify most of these markets before the refine rules
+    # they pin can fire; the full-budget search keeps those rules covered
+    W = np.asarray(W)
+    level = ValuationStack((Linear([1.0]),) * W.shape[0])
+    Z, q, _ = _full_search_then_refine(level, rho, 100_000, W)
+    assert kkt_residual(level.valuations, rho, Z, q, W) <= 1e-8
+    inst = Instance(tuple(Leontief(w) for w in W), rho)
+    out = SimpleNamespace(alphas=Z[:, 0], allocation=W * Z, multipliers=q)
+    _assert_payment_identity(inst, out)
+
+
+@pytest.mark.parametrize("n, rho", [(3, 1.0), (4, 0.75), (5, 0.5), (6, 0.25)])
+def test_leontief_certifies_from_an_early_attempt(n, rho):
+    # the one full-budget search took 711, 709, 778 and 1018 iterations
+    W = np.random.default_rng(0).uniform(0.3, 3.0, (n, n))
+    res = solve_leontief(Instance(tuple(Leontief(w) for w in W), rho))
+    assert res.iterations < 400
 
 
 @st.composite

@@ -307,11 +307,14 @@ def test_constructor_rejections():
 
 
 def test_degree_one_ulp_past_one_is_one():
-    # Dirichlet exponents sum to 1.0000000000000002 for some draws
+    # Dirichlet exponents sum to 1.0000000000000002 or 0.9999999999999999
+    # for some draws (draw 0 is below 1)
     rng = np.random.default_rng(0)
     for _ in range(2000):
-        assert CobbDouglas(rng.dirichlet(np.ones(3))).degree <= 1.0
+        assert CobbDouglas(rng.dirichlet(np.ones(3))).degree == 1.0
     assert CesForm([1.0], 0.5, 1.0 + DEGREE_TOL).degree == 1.0
+    assert Power(1.0, np.nextafter(1.0, 0.0)).degree == 1.0
+    assert Power(1.0, 1.0 - 2 * DEGREE_TOL).degree == 1.0 - 2 * DEGREE_TOL
     with pytest.raises(BadParameter):
         Power(1.0, 1.0 + 2 * DEGREE_TOL)
 
