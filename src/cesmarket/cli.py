@@ -3,8 +3,9 @@
 Subcommands: solve, verify, truthful, sybil-check, demo, fisher.  Reports go
 to stdout (or --out) as canonical JSON; demo prose goes to stderr.  Exit
 codes: 0 success/pass, 1 a check failed (bad certificate, non-convergence,
-Sybil-unstable), 2 malformed input.  CES_MARKET_TOL overrides the default
-certification tolerance.
+Sybil-unstable), 2 malformed input.  CES_MARKET_TOL, when --tol is not
+given, overrides the default tolerance: the certification tolerance of
+verify and fisher, and the solve tolerance of solve and sybil-check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import demos
 from .demos import exchange_violation_demo, first_welfare_check, linear_gap_demo
 from .errors import BadParameter, CesMarketError, DidNotConverge
-from .jsonio import canonical_dumps, load_instance, load_solution, report
+from .jsonio import canonical_dumps, load_instance, load_solution, report, to_plain
 from .mechanism import (
     BidProfile,
     best_response_scan,
@@ -27,7 +28,7 @@ from .mechanism import (
     truthful_payment,
     vcg_single_good,
 )
-from .pricing import make_pricing_rule, to_fisher, we_certificate
+from .pricing import equilibrium_rule, make_pricing_rule, to_fisher, we_certificate
 from .solver import (
     Instance,
     as_allocation,
@@ -76,53 +77,28 @@ def _emit(payload: dict, out_path=None):
 def _cmd_solve(args) -> int:
     instance, _ = load_instance(args.file)
     tol = _pick_tol(args.tol, DEFAULT_SOLVE_TOL)
-    if all(isinstance(v, Leontief) for v in instance.valuations):
-        converged = True
-        try:
-            res = solve_leontief(instance, tolerance=tol, max_iters=args.max_iters)
-        except DidNotConverge as exc:
-            res = exc.result
-            converged = False
-        payload = report(
-            "leontief-solve",
-            {
-                "rho": instance.rho,
-                "allocation": res.allocation,
-                "alphas": res.alphas,
-                "multipliers": res.multipliers,
-                "duals": res.duals,
-                "objective": res.objective,
-                "iterations": res.iterations,
-                "converged": converged,
-            },
-        )
-        _emit(payload, args.out)
-        return 0 if converged else 1
+    leontief = all(isinstance(v, Leontief) for v in instance.valuations)
+    solve = solve_leontief if leontief else solve_ces
     converged = True
     try:
-        res = solve_ces(instance, tolerance=tol, max_iters=args.max_iters)
+        res = solve(instance, tolerance=tol, max_iters=args.max_iters)
     except DidNotConverge as exc:
         res = exc.result
         converged = False
-    payload = report(
-        "solve",
-        {
-            "rho": instance.rho,
-            "degree": instance.degree,
-            "allocation": res.allocation,
-            "values": res.values,
-            "multipliers": res.multipliers,
-            "objective": res.objective,
-            "iterations": res.iterations,
-            "max_kkt_residual": res.max_kkt_residual,
-            "converged": converged,
-        },
-    )
-    _emit(payload, args.out)
+    head = {"rho": instance.rho}
+    if not leontief:
+        head["degree"] = instance.degree
+    payload = {**head, **to_plain(res), "converged": converged}
+    _emit(report("leontief-solve" if leontief else "solve", payload), args.out)
     return 0 if converged else 1
 
 
-def _cmd_verify(args) -> int:
+def _load_solved(args):
+    """(instance, allocation, rule, tolerance) for a solution file.
+
+    The rule uses the file's multipliers, or those the allocation implies
+    when the file has none.
+    """
     instance, _ = load_instance(args.file)
     X, q = load_solution(args.solution, instance.n, instance.m)
     X = as_allocation(X, instance.n, instance.m)
@@ -130,6 +106,11 @@ def _cmd_verify(args) -> int:
     if q is None:
         q = extract_multipliers(instance, X)
     rule = make_pricing_rule(q, instance.rho, instance.degree)
+    return instance, X, rule, tol
+
+
+def _cmd_verify(args) -> int:
+    instance, X, rule, tol = _load_solved(args)
     cert = we_certificate(instance, X, rule, tol)
     payload = report(
         "verify",
@@ -157,55 +138,35 @@ def _cmd_truthful(args) -> int:
                 f"--agent {args.agent} out of range for {instance.n} agents"
             )
         indices = [args.agent]
-    if instance.rho == 1.0:
+    vcg = instance.rho == 1.0
+    if vcg:
         if args.scan:
             raise BadParameter(
                 "--scan applies to rho < 1; at rho = 1 the mechanism is the "
                 "second-price auction"
             )
-        allocation, payments = vcg_single_good(weights)
-        agents = []
-        for i in indices:
-            agents.append(
-                {
-                    "bid": weights[i],
-                    "allocation": float(allocation[i]),
-                    "payment": float(payments[i]),
-                    "utility_at_bid": weights[i] * float(allocation[i])
-                    - float(payments[i]),
-                }
-            )
-        payload = report(
-            "truthful",
-            {
-                "mechanism": "vcg",
-                "rho": instance.rho,
-                "degree": instance.degree,
-                "agents": agents,
-            },
+        shares, payments = vcg_single_good(weights)
+    else:
+        profile = BidProfile(
+            bids=np.asarray(weights), degree=instance.degree, rho=instance.rho
         )
-        _emit(payload)
-        return 0
-    profile = BidProfile(
-        bids=np.asarray(weights), degree=instance.degree, rho=instance.rho
-    )
-    shares = truthful_allocation(profile)
+        shares = truthful_allocation(profile)
     agents = []
     for i in indices:
-        payment = truthful_payment(profile, i)
+        share = float(shares[i])
+        payment = float(payments[i]) if vcg else truthful_payment(profile, i)
+        # a VCG share is 0 or 1, so share ** degree is exact for both mechanisms
         entry = {
             "bid": weights[i],
-            "allocation": float(shares[i]),
+            "allocation": share,
             "payment": payment,
-            "utility_at_bid": weights[i] * float(shares[i]) ** instance.degree
-            - payment,
+            "utility_at_bid": weights[i] * share**instance.degree - payment,
         }
         if args.scan:
             others = np.delete(profile.bids, i)
-            best = best_response_scan(
+            entry["scan_best_bid"] = best_response_scan(
                 weights[i], others, instance.degree, instance.rho, args.grid
             )
-            entry["scan_best_bid"] = best
             entry["scan_step"] = float(
                 (4.0 * weights[i] - weights[i] / 4.0) / (args.grid - 1)
             )
@@ -213,7 +174,7 @@ def _cmd_truthful(args) -> int:
     payload = report(
         "truthful",
         {
-            "mechanism": "curved",
+            "mechanism": "vcg" if vcg else "curved",
             "rho": instance.rho,
             "degree": instance.degree,
             "agents": agents,
@@ -229,44 +190,18 @@ def _cmd_sybil_check(args) -> int:
     if kappa is None:
         raise BadParameter("no identity cost: pass --kappa or put kappa in the file")
     res = solve_ces(instance, tolerance=_pick_tol(args.tol, DEFAULT_SOLVE_TOL))
-    q = extract_multipliers(instance, res.allocation)
-    rule = make_pricing_rule(q, instance.rho, instance.degree)
+    rule = equilibrium_rule(instance, res.allocation)
     rep = swe_check(instance, res.allocation, rule, kappa)
     _emit(report("sybil", rep.to_json()))
     return 0 if rep.is_swe else 1
 
 
-def _figure_market():
-    vals = (Linear([1.0]), Linear([6.0]), Linear([5.0]))
-    return Instance(vals, 1.0)
-
-
 def _cmd_demo(args) -> int:
     name = args.name
-    if name == "gap":
-        rep = linear_gap_demo(args.n, args.eps, 0.5 if args.rho is None else args.rho)
-        print(rep.describe(), file=sys.stderr)
-        _emit(report("demo-gap", rep.to_json()))
-        return 0 if rep.ratio <= rep.bound + 1e-9 else 1
-    if name == "mixed-degree":
-        rep = exchange_violation_demo(
-            demos.MIXED_DEGREE, 0.5 if args.rho is None else args.rho
-        )
-        print(rep.describe(), file=sys.stderr)
-        _emit(report("demo-violation", rep.to_json()))
-        return 0 if rep.margin > 1e-9 else 1
-    if name == "neg-rho":
-        rep = exchange_violation_demo(
-            demos.NEGATIVE_RHO, -1.0 if args.rho is None else args.rho
-        )
-        print(rep.describe(), file=sys.stderr)
-        _emit(report("demo-violation", rep.to_json()))
-        return 0 if rep.margin > 1e-9 else 1
     if name == "nash":
         viol = exchange_violation_demo(demos.NASH_DIFFERENTIABLE)
         instance = Instance((Linear([1.0]), Linear([2.0])), 1.0)
-        X, q, spends, _ = demos._nash_solve(instance)
-        budget_check = bool(np.all(np.abs(spends - 1.0) <= 1e-6))
+        X, q, spends, budget_check = demos._nash_solve(instance)
         print(viol.describe(), file=sys.stderr)
         print(
             f"Threshold prices q = {[round(float(t), 6) for t in q]} support the "
@@ -287,7 +222,7 @@ def _cmd_demo(args) -> int:
         _emit(payload)
         return 0 if (viol.margin > 1e-9 and budget_check) else 1
     if name == "first-welfare":
-        instance = _figure_market()
+        instance = Instance((Linear([1.0]), Linear([6.0]), Linear([5.0])), 1.0)
         X = np.array([[0.0], [1.0], [0.0]])
         q = np.array([6.0])
         holds = first_welfare_check(instance, X, q)
@@ -306,17 +241,20 @@ def _cmd_demo(args) -> int:
         )
         _emit(payload)
         return 0 if holds else 1
-    raise BadParameter(f"unknown demo {name!r}")
+    if name == "gap":
+        rep = linear_gap_demo(args.n, args.eps, 0.5 if args.rho is None else args.rho)
+        report_name, ok = "demo-gap", rep.ratio <= rep.bound + 1e-9
+    else:
+        kind = demos.MIXED_DEGREE if name == "mixed-degree" else demos.NEGATIVE_RHO
+        rep = exchange_violation_demo(kind, args.rho)
+        report_name, ok = "demo-violation", rep.margin > 1e-9
+    print(rep.describe(), file=sys.stderr)
+    _emit(report(report_name, rep.to_json()))
+    return 0 if ok else 1
 
 
 def _cmd_fisher(args) -> int:
-    instance, _ = load_instance(args.file)
-    X, q = load_solution(args.solution, instance.n, instance.m)
-    X = as_allocation(X, instance.n, instance.m)
-    tol = _pick_tol(args.tol, DEFAULT_CERT_TOL)
-    if q is None:
-        q = extract_multipliers(instance, X)
-    rule = make_pricing_rule(q, instance.rho, instance.degree)
+    instance, X, rule, tol = _load_solved(args)
     cert = we_certificate(instance, X, rule, tol)
     budgets, fisher_pass = to_fisher(instance, X, rule, tol)
     payload = report(

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadRho, DidNotConverge, NotEquilibrium
+from .jsonio import to_plain
 from .pricing import demand_residual, make_pricing_rule
 from .solver import (
     Instance,
@@ -45,15 +46,7 @@ class GapReport:
     bound: float
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "eps": self.eps,
-            "rho": self.rho,
-            "we_welfare": self.we_welfare,
-            "opt_welfare": self.opt_welfare,
-            "ratio": self.ratio,
-            "bound": self.bound,
-        }
+        return to_plain(self)
 
     def describe(self) -> str:
         return (
@@ -117,14 +110,7 @@ class ViolationReport:
     inequality: str
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "allocation": list(self.allocation),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "inequality": self.inequality,
-        }
+        return to_plain(self)
 
     def describe(self) -> str:
         return (
@@ -225,19 +211,20 @@ def exchange_violation_demo(kind: str, rho: float | None = None) -> ViolationRep
 
 
 def _nash_solve(instance: Instance, tolerance: float = 1e-6):
-    """Proportional-fairness optimum, per-good thresholds, agent spends.
+    """Proportional-fairness optimum, per-good thresholds, agent spends, and
+    whether every spend is the unit budget within `tolerance`.
 
     The log program is the exponent-0 program: its scaled marginals are
     dv_i/dx_ij / v_i.
     """
     stack = ValuationStack(instance.valuations)
-    X, q, iters, residual = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
+    X, q, _, residual = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
     if residual > tolerance:
         raise DidNotConverge(
             f"threshold-pricing residual {residual:.3e} above {tolerance:.1e}"
         )
     spends = X @ q
-    return X, q, spends, iters
+    return X, q, spends, bool(np.all(np.abs(spends - 1.0) <= tolerance))
 
 
 def nash_threshold_pricing(instance: Instance, tolerance: float = 1e-6):
@@ -250,8 +237,7 @@ def nash_threshold_pricing(instance: Instance, tolerance: float = 1e-6):
     (q, budget_check).  The spend identity is q . x_i = degree, so the
     check passes exactly for degree-1 markets.
     """
-    _, q, spends, _ = _nash_solve(instance, tolerance)
-    budget_check = bool(np.all(np.abs(spends - 1.0) <= tolerance))
+    _, q, _, budget_check = _nash_solve(instance, tolerance)
     return q, budget_check
 
 

@@ -7,6 +7,8 @@ identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import math
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import CesMarketError, InstanceFormatError
 from .solver import Instance
-from .valuations import Valuation, from_json as valuation_from_json
+from .valuations import from_json as valuation_from_json
 
 FORMAT_VERSION = 1
 
@@ -70,6 +72,25 @@ def _canonical(obj, indent: int) -> str:
 def canonical_dumps(obj) -> str:
     """Deterministic, lossless JSON text (17 significant digits, newline-terminated)."""
     return _canonical(obj, 0) + "\n"
+
+
+def to_plain(obj):
+    """JSON-ready copy of a result object.
+
+    Dataclasses become dicts in field order, ndarrays and tuples become
+    lists, enums their values and numpy scalars Python scalars.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def _require(cond: bool, message: str):

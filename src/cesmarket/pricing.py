@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, InconsistentMultipliers, NotEquilibrium
+from .jsonio import to_plain
 from .solver import (
     Instance,
     _stationarity_residual,
@@ -51,6 +52,8 @@ class PricingRule:
             raise BadParameter(f"pricing requires degree in (0, 1], got {self.degree}")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "degree", float(self.degree))
 
     @property
     def m(self) -> int:
@@ -82,11 +85,7 @@ class PricingRule:
         )
 
     def to_json(self) -> dict:
-        return {
-            "q": [float(v) for v in self.q],
-            "rho": float(self.rho),
-            "degree": float(self.degree),
-        }
+        return to_plain(self)
 
 
 def make_pricing_rule(q, rho: float, degree: float) -> PricingRule:
@@ -211,7 +210,7 @@ class FisherBudgets:
         object.__setattr__(self, "budgets", b)
 
     def to_json(self) -> dict:
-        return {"budgets": [float(b) for b in self.budgets]}
+        return to_plain(self)
 
 
 def _affordable_best(rule, v, budget, candidates):

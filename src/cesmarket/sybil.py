@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMultiplicity, BadParameter, NotEquilibrium, UnsupportedDegree
+from .jsonio import to_plain
 from .pricing import PricingRule, we_certificate
 from .solver import Instance, as_allocation
 from .valuations import Valuation, as_bundle
@@ -81,15 +82,7 @@ class SweReport:
     rho: float
 
     def to_json(self) -> dict:
-        return {
-            "is_swe": self.is_swe,
-            "cap": self.cap,
-            "welfare_cap": self.welfare_cap,
-            "statuses": [s.value for s in self.statuses],
-            "values": list(self.values),
-            "kappa": self.kappa,
-            "rho": self.rho,
-        }
+        return to_plain(self)
 
 
 def swe_check(

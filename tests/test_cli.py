@@ -38,6 +38,14 @@ def water_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def leontief_file(tmp_path):
+    inst = Instance((Leontief([1.0, 2.0]), Leontief([1.0, 1.0])), 0.5)
+    path = tmp_path / "leo.json"
+    save_instance(path, inst)
+    return str(path)
+
+
 def run_json(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
@@ -111,19 +119,51 @@ def test_env_tolerance_override(water_file, tmp_path, capsys, monkeypatch):
     assert run(["verify", water_file, str(sol)]) == 2
 
 
-def test_reports_are_byte_identical(water_file, capsys):
-    run(["solve", water_file])
-    first = capsys.readouterr().out
-    run(["solve", water_file])
-    second = capsys.readouterr().out
-    assert first == second
+DETERMINISM_CASES = {
+    "solve": ["solve", "{water}"],
+    "solve-leontief": ["solve", "{leontief}"],
+    "verify": ["verify", "{water}", "{solution}"],
+    "fisher": ["fisher", "{water}", "{solution}"],
+    "truthful-scan": ["truthful", "{water}", "--scan"],
+    "sybil-check": ["sybil-check", "{water}", "--kappa", "0.1"],
+    "demo-gap": ["demo", "gap"],
+    "demo-mixed-degree": ["demo", "mixed-degree"],
+    "demo-neg-rho": ["demo", "neg-rho"],
+    "demo-nash": ["demo", "nash"],
+    "demo-first-welfare": ["demo", "first-welfare"],
+}
 
 
-def test_solve_leontief_report(tmp_path, capsys):
-    inst = Instance((Leontief([1.0, 2.0]), Leontief([1.0, 1.0])), 0.5)
-    path = tmp_path / "leo.json"
-    save_instance(path, inst)
-    code, blob = run_json(["solve", str(path)], capsys)
+def test_reports_are_byte_identical(water_file, leontief_file, tmp_path, capsys):
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"allocation": [[1 / 12], [0.5], [5 / 12]]}))
+    files = {"water": water_file, "leontief": leontief_file, "solution": str(solution)}
+    for case, template in DETERMINISM_CASES.items():
+        argv = [arg.format(**files) for arg in template]
+        first_code = run(argv)
+        first = capsys.readouterr().out
+        second_code = run(argv)
+        second = capsys.readouterr().out
+        assert first, case
+        assert (first, first_code) == (second, second_code), case
+
+
+def test_solve_reports_non_convergence(water_file, capsys):
+    code, blob = run_json(
+        ["solve", water_file, "--tol", "1e-300", "--max-iters", "100"], capsys
+    )
+    assert code == 1
+    check_report(blob)
+    assert blob["converged"] is False
+    # the best iterate is reported: here the optimum, short of a 1e-300 target
+    assert blob["max_kkt_residual"] < 1e-12
+    np.testing.assert_allclose(
+        np.asarray(blob["allocation"])[:, 0], [1 / 12, 0.5, 5 / 12], atol=1e-9
+    )
+
+
+def test_solve_leontief_report(leontief_file, capsys):
+    code, blob = run_json(["solve", leontief_file], capsys)
     assert code == 0
     check_report(blob)
     assert blob["report"] == "leontief-solve"
@@ -188,6 +228,22 @@ def test_truthful_curved(water_file, capsys):
         assert abs(entry["scan_best_bid"] - entry["bid"]) <= entry["scan_step"] + 1e-12
 
 
+def test_truthful_curved_degree_below_one(tmp_path, capsys):
+    path = tmp_path / "power.json"
+    save_instance(path, Instance((Power(1.0, 0.5), Power(3.0, 0.5)), 0.5))
+    code, blob = run_json(["truthful", str(path), "--scan", "--grid", "150"], capsys)
+    assert code == 0
+    check_report(blob)
+    assert blob["mechanism"] == "curved"
+    assert blob["degree"] == 0.5
+    assert [a["bid"] for a in blob["agents"]] == [1.0, 3.0]
+    for entry in blob["agents"]:
+        assert abs(entry["scan_best_bid"] - entry["bid"]) <= entry["scan_step"] + 1e-12
+        assert entry["utility_at_bid"] == pytest.approx(
+            entry["bid"] * entry["allocation"] ** 0.5 - entry["payment"], rel=1e-12
+        )
+
+
 def test_truthful_single_agent_flag(water_file, capsys):
     code, blob = run_json(["truthful", water_file, "--agent", "1"], capsys)
     assert code == 0
@@ -241,6 +297,11 @@ def test_sybil_check_needs_kappa(water_file, capsys):
     assert run(["sybil-check", water_file]) == 2
 
 
+def test_sybil_check_rejects_leontief(leontief_file, capsys):
+    assert run(["sybil-check", leontief_file, "--kappa", "0.1"]) == 2
+    assert "solve_leontief" in capsys.readouterr().err
+
+
 # -- demos ------------------------------------------------------------------------------
 
 
@@ -255,10 +316,15 @@ def test_demo_gap(capsys):
 
 
 def test_demo_violations(capsys):
-    for name in ("mixed-degree", "neg-rho"):
-        code = run(["demo", name])
+    for argv in (
+        ["mixed-degree"],
+        ["neg-rho"],
+        ["mixed-degree", "--rho", "0.3"],
+        ["neg-rho", "--rho", "-2"],
+    ):
+        code = run(["demo", *argv])
         captured = capsys.readouterr()
-        assert code == 0
+        assert code == 0, argv
         blob = json.loads(captured.out)
         check_report(blob)
         assert blob["margin"] > 1e-9
@@ -306,7 +372,7 @@ def test_fisher_water(water_file, tmp_path, capsys):
 def test_fisher_rejects_bad_solution(water_file, tmp_path, capsys):
     sol = tmp_path / "bad.json"
     sol.write_text(json.dumps({"allocation": [[0.3], [0.3], [0.4]]}))
-    assert run(["fisher", water_file, str(sol)]) in (1, 2)
+    assert run(["fisher", water_file, str(sol)]) == 1
 
 
 # -- instance schema ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Canonical JSON serialization and instance/solution file handling."""
 
+import enum
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,13 +15,20 @@ from cesmarket import (
     Linear,
     Power,
     canonical_dumps,
+    equilibrium_rule,
+    exchange_violation_demo,
     instance_from_json,
     instance_to_json,
     load_instance,
     load_solution,
+    linear_gap_demo,
+    make_pricing_rule,
     save_instance,
+    solve_ces,
+    swe_check,
+    to_fisher,
 )
-from cesmarket.jsonio import report
+from cesmarket.jsonio import report, to_plain
 
 from conftest import random_instance, water_instance
 
@@ -166,3 +175,100 @@ def test_report_envelope():
     assert list(payload)[:2] == ["report", "version"]
     assert payload["report"] == "verify"
     assert payload["version"] == 1
+
+
+class Color(enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+@dataclass(frozen=True)
+class Inner:
+    grid: np.ndarray
+    colors: tuple
+
+
+@dataclass(frozen=True)
+class Outer:
+    inner: Inner
+    count: np.int64
+    scale: np.float64
+    label: str
+
+
+def test_to_plain_nested_dataclass():
+    obj = Outer(
+        inner=Inner(grid=np.array([[0.5, 1.0]]), colors=(Color.RED, Color.BLUE)),
+        count=np.int64(3),
+        scale=np.float64(0.25),
+        label="x",
+    )
+    plain = to_plain(obj)
+    assert plain == {
+        "inner": {"grid": [[0.5, 1.0]], "colors": ["red", "blue"]},
+        "count": 3,
+        "scale": 0.25,
+        "label": "x",
+    }
+    assert list(plain) == ["inner", "count", "scale", "label"]
+    assert type(plain["count"]) is int and type(plain["scale"]) is float
+    assert type(plain["inner"]["grid"][0][0]) is float
+
+
+def _same_typed(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_typed(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_typed, a, b))
+    return a == b
+
+
+# The hand-written to_json bodies that to_plain replaced, kept as the reference.
+def _gap_json(r):
+    return {"n": r.n, "eps": r.eps, "rho": r.rho, "we_welfare": r.we_welfare,
+            "opt_welfare": r.opt_welfare, "ratio": r.ratio, "bound": r.bound}
+
+
+def _violation_json(r):
+    return {"kind": r.kind, "allocation": list(r.allocation), "lhs": r.lhs,
+            "rhs": r.rhs, "margin": r.margin, "inequality": r.inequality}
+
+
+def _swe_json(r):
+    return {"is_swe": r.is_swe, "cap": r.cap, "welfare_cap": r.welfare_cap,
+            "statuses": [s.value for s in r.statuses], "values": list(r.values),
+            "kappa": r.kappa, "rho": r.rho}
+
+
+def _rule_json(r):
+    return {"q": [float(v) for v in r.q], "rho": float(r.rho),
+            "degree": float(r.degree)}
+
+
+def _budgets_json(b):
+    return {"budgets": [float(v) for v in b.budgets]}
+
+
+def test_to_json_matches_hand_written_bodies():
+    inst = water_instance(0.5)
+    X = solve_ces(inst).allocation
+    rule = equilibrium_rule(inst, X)
+    budgets, _ = to_fisher(inst, X, rule)
+    linear = water_instance(1.0)
+    vertex = [[0.0], [1.0], [0.0]]
+    cases = [
+        (linear_gap_demo(4, 0.1, 0.5), _gap_json),
+        (linear_gap_demo(3, 0.2, 1.0), _gap_json),
+        (exchange_violation_demo("mixed-degree"), _violation_json),
+        (exchange_violation_demo("negative-rho", -2.0), _violation_json),
+        (exchange_violation_demo("nash-differentiable"), _violation_json),
+        (swe_check(inst, X, rule, 0.1), _swe_json),
+        (swe_check(linear, vertex, equilibrium_rule(linear, vertex), 0.1), _swe_json),
+        (rule, _rule_json),
+        (make_pricing_rule([2], 1, 1), _rule_json),
+        (budgets, _budgets_json),
+    ]
+    for obj, reference in cases:
+        assert _same_typed(obj.to_json(), reference(obj)), obj
