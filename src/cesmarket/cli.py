@@ -28,7 +28,13 @@ from .mechanism import (
     truthful_payment,
     vcg_single_good,
 )
-from .pricing import equilibrium_rule, make_pricing_rule, to_fisher, we_certificate
+from .pricing import (
+    _fisher_scan,
+    _require_certified,
+    equilibrium_rule,
+    make_pricing_rule,
+    we_certificate,
+)
 from .solver import (
     Instance,
     as_allocation,
@@ -256,7 +262,9 @@ def _cmd_demo(args) -> int:
 def _cmd_fisher(args) -> int:
     instance, X, rule, tol = _load_solved(args)
     cert = we_certificate(instance, X, rule, tol)
-    budgets, fisher_pass = to_fisher(instance, X, rule, tol)
+    # to_fisher's two steps, reusing the report's certificate
+    _require_certified(cert)
+    budgets, fisher_pass = _fisher_scan(instance, X, rule)
     payload = report(
         "fisher",
         {

@@ -64,9 +64,7 @@ class PricingRule:
         return self.rho * self.degree ** ((self.rho - 1.0) / self.rho)
 
     def price(self, bundle) -> float:
-        x = as_bundle(bundle, self.m)
-        s = float(self.q @ x)
-        return self.scale * s ** (1.0 / self.rho)
+        return float(self.price_many(as_bundle(bundle, self.m)[None])[0])
 
     def price_many(self, bundles) -> np.ndarray:
         Y = np.asarray(bundles, dtype=float)
@@ -179,9 +177,7 @@ def we_certificate(
         clearing = float(np.abs(1.0 - X[:, priced].sum(axis=0)).max())
 
     target = instance.rho * instance.degree
-    payment = 0.0
-    for i, value in enumerate(instance.values_at(X)):
-        payment = max(payment, abs(rule.price(X[i]) - target * value))
+    payment = np.abs(rule.price_many(X) - target * instance.values_at(X)).max()
 
     return Certificate(
         stationarity=stat,
@@ -264,13 +260,22 @@ def to_fisher(
     Raises NotEquilibrium when the input pair fails certification.
     """
     X = as_allocation(allocation, instance.n, instance.m)
-    cert = we_certificate(instance, X, rule, tolerance)
+    _require_certified(we_certificate(instance, X, rule, tolerance))
+    return _fisher_scan(instance, X, rule)
+
+
+def _require_certified(cert):
+    """to_fisher's gate: raise NotEquilibrium unless the certificate passed."""
     if not cert.passed:
         raise NotEquilibrium(
             f"cannot convert: certificate residual {cert.max_residual:.3e} "
-            f"exceeds tolerance {tolerance:.1e}"
+            f"exceeds tolerance {cert.tolerance:.1e}"
         )
-    budgets = np.array([rule.price(X[i]) for i in range(instance.n)])
+
+
+def _fisher_scan(instance, X, rule):
+    """to_fisher's budgets and budget-optimality scan on a certified pair."""
+    budgets = rule.price_many(X)
     values = instance.values_at(X)
     fisher_pass = True
     for i, v in enumerate(instance.valuations):

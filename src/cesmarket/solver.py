@@ -29,7 +29,9 @@ price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
 its price.  Its derivative, _marginal_jacobian, supplies the Newton steps.
 Both, and the search objective, evaluate all agents at once through one
-ValuationStack built per solve.
+ValuationStack built per solve, which also holds the per-agent facts the
+refine and the residual read.  Only the refine's gradient query (G0) and
+the waiver's value-per-cost closed form (valuations.py) ask each agent.
 """
 
 from __future__ import annotations
@@ -53,12 +55,11 @@ from .errors import (
 )
 from .valuations import (
     DEGREE_TOL,
-    CesForm,
-    CobbDouglas,
     Leontief,
     Linear,
     Valuation,
     ValuationStack,
+    _row_dot,
 )
 from .welfare import (
     WelfareParams,
@@ -252,25 +253,6 @@ def _holder_mean(M, X, empty=0.0):
     return np.where(count > 0, total / np.maximum(count, 1), empty)
 
 
-def _value_per_cost(v, q):
-    """Largest v(x) / (q . x) of an agent of degree 1.
-
-    Closed forms cover the kinds whose partials diverge at zero at degree 1
-    (Cobb-Douglas, CES with sigma < 1).  Any other kind only diverges below
-    degree 1, where every ray from zero is profitable: the result is inf.
-    """
-    sel = v.valued_goods()
-    with np.errstate(divide="ignore"):
-        if isinstance(v, CobbDouglas):
-            e = v.exponents[sel]
-            return float(v.scale * np.prod((e / q[sel]) ** e))
-        if isinstance(v, CesForm) and v.sigma < 1.0:
-            s = v.sigma
-            terms = v.weights[sel] ** (1.0 / (1.0 - s)) * q[sel] ** (-s / (1.0 - s))
-            return float(terms.sum() ** ((1.0 - s) / s))
-    return np.inf
-
-
 def _stationarity_residual(vals, X, P, e, weights=None):
     """Worst violation of [scaled marginal <= P_ij, equality where x_ij > 0].
 
@@ -283,21 +265,19 @@ def _stationarity_residual(vals, X, P, e, weights=None):
     coordinates.  Returns (residual, waived coordinate list).
     """
     P = np.broadcast_to(P, X.shape)
-    M, div = _scaled_marginals(ValuationStack(vals), X, e, weights)
+    stack = ValuationStack(vals)
+    M, div = _scaled_marginals(stack, X, e, weights)
     with np.errstate(invalid="ignore"):
         E = M - P
         gap = np.where(X > 0.0, np.abs(E), np.maximum(E, 0.0))
     gap[div] = np.inf
-    waived = []
-    for i in np.flatnonzero(div.any(axis=1)):
-        v = vals[i]
-        idle = not X[i, v.valued_goods()].any()
-        if e == 1.0 and idle and v.degree == 1.0:
-            gap[i, div[i]] = max(_value_per_cost(v, P[i]) - 1.0, 0.0)
-            waived += [(int(i), int(j)) for j in np.flatnonzero(div[i])]
+    idle = (e == 1.0) & (stack.degrees == 1.0) & ~(stack.valued & (X != 0.0)).any(axis=1)
+    waived = div & idle[:, None]
+    for i in np.flatnonzero(waived.any(axis=1)):
+        gap[i, waived[i]] = max(vals[i]._value_per_cost(P[i]) - 1.0, 0.0)
     if weights is not None:
         gap = gap[np.asarray(weights) != 0.0]
-    return float(gap.max(initial=0.0)), waived
+    return float(gap.max(initial=0.0)), [(int(i), int(j)) for i, j in np.argwhere(waived)]
 
 
 def _supply_rows(n, m):
@@ -523,33 +503,23 @@ def _kkt_refine(stack, A, e, X0):
     want out and adds profitable ones.
     """
     n, k = X0.shape
-    vals = stack.valuations
     uses = A > 0.0
-    valued = np.stack([v.valued_goods() for v in vals])
+    valued = stack.valued
     var_valued = valued.ravel()
     usage = X0.ravel() @ A
     priced = (usage > 1.0 - 1e-3) & uses[var_valued].any(axis=0)
     lone = var_valued & ~(uses & priced).any(axis=1)
     priced[np.argmax(np.where(uses[lone], usage, -np.inf), axis=1)] = True
-    divergent = np.stack([v.divergent_at_zero() for v in vals]) & valued
-    if e < 1.0:
-        active = np.ones(n, dtype=bool)
-    else:
-        active = np.array(
-            [
-                v.degree < 1.0 or X0[i][valued[i]].sum() > _SUPPORT_SEED
-                for i, v in enumerate(vals)
-            ]
-        )
-    support = ((X0 > _SUPPORT_SEED) & valued) | divergent
+    held = np.where(valued, X0, 0.0).sum(axis=1)
+    active = (e < 1.0) | (stack.degrees < 1.0) | (held > _SUPPORT_SEED)
+    support = ((X0 > _SUPPORT_SEED) & valued) | stack.divergent
     support &= active[:, None]
     # every active agent holds its best-loaded valued good
-    for i in range(n):
-        if active[i] and valued[i].any() and not support[i].any():
-            support[i, int(np.argmax(np.where(valued[i], X0[i], -1.0)))] = True
+    bare = active & ~support.any(axis=1)
+    support[bare, np.argmax(np.where(valued, X0, -1.0), axis=1)[bare]] = True
     # every priced constraint needs at least one prospective user
     G0 = np.stack(
-        [v.gradient(np.maximum(X0[i], _GRAD_POINT_FLOOR)) for i, v in enumerate(vals)]
+        [v.gradient(np.maximum(x, _GRAD_POINT_FLOOR)) for v, x in zip(stack.valuations, X0)]
     )
 
     def ensure_holders():
@@ -602,14 +572,8 @@ def _kkt_refine(stack, A, e, X0):
             # from handing its mass to the price-setting holders.  Equality
             # supports satisfy v = deg * P.x, so a 0.1% deficit only appears
             # when Newton stalled on a dominated agent.
-            V = stack.values(X)
-            starve = np.zeros(n, dtype=bool)
-            for i in range(n):
-                if not support[i].any():
-                    continue
-                cost = float(P[i] @ X[i])
-                if cost > 0.0 and V[i] < cost * (1.0 - 1e-3):
-                    starve[i] = True
+            cost, V = _row_dot(P, X), stack.values(X)
+            starve = support.any(axis=1) & (cost > 0.0) & (V < cost * (1.0 - 1e-3))
             if starve.any():
                 support[starve] = False
                 active[starve] = False
@@ -795,7 +759,6 @@ def grid_oracle(
     cols = _compositions(resolution, n).astype(float) / resolution  # (K, n)
     K = cols.shape[0]
     best_obj = -np.inf
-    best_flat = 0
     chunk = 1 << 18
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -811,13 +774,8 @@ def grid_oracle(
         k = int(np.argmax(obj))
         if obj[k] > best_obj:
             best_obj = float(obj[k])
-            best_flat = int(idx[k])
-    X = np.empty((n, m))
-    rem = best_flat
-    for j in range(m - 1, -1, -1):
-        rem, col_idx = divmod(rem, K)
-        X[:, j] = cols[col_idx]
-    return X
+            best = X[k].copy()
+    return best
 
 
 # ---------------------------------------------------------------------------

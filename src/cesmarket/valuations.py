@@ -16,9 +16,11 @@ methods value, partials and hessian check the bundle with as_bundle, then
 run the same kernel on one row.  ValuationStack groups a market's agents
 by kind, and by the scalars a kind's kernels take (sigma and degree for
 CES, the degree for power).  It evaluates every agent with one kernel
-call per group and no validation; the solver builds one per solve.
-values_batch, one agent's values over many bundles, is the grid oracle's
-path and keeps its own form.
+call per group and no validation; the solver builds one per solve and
+reads its per-agent facts (valued, divergent, degrees) from it.
+values_batch, one agent's values over many bundles (a matrix-vector
+product), is the grid oracle's path and keeps its own form.  A kind's one
+agent-level closed form, _value_per_cost, defaults to inf.
 """
 
 from __future__ import annotations
@@ -71,18 +73,6 @@ def _row_dot(A, B):
     which einsum and (A * B).sum(1) do not.
     """
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
-
-
-def _row_pow(S, p):
-    """S[i] ** p with the scalar pow, one entry at a time.
-
-    Powers of a per-agent scalar (a CES inner sum, a power agent's holding)
-    keep the scalar pow the formulas have always used: numpy's vectorised
-    pow differs from it in the last bit on about 5% of inputs, and the
-    ellipsoid search turns last-bit changes into different iterates.
-    Elementwise powers of bundle arrays are vectorised; those match.
-    """
-    return np.array([s**p for s in S], dtype=float)
 
 
 class Valuation(ABC):
@@ -192,6 +182,14 @@ class Valuation(ABC):
         """
         return np.zeros(self.m, dtype=bool)
 
+    def _value_per_cost(self, q) -> float:
+        """Largest v(x) / (q . x) of a degree-1 agent at prices q.
+
+        Closed forms cover the kinds whose partials diverge at zero at degree
+        1; any other kind diverges only below degree 1, where it is inf.
+        """
+        return np.inf
+
     def _check_homogeneity(self):
         """Numeric check that value() scales like degree says, at 3 points."""
         base = 0.3 + 0.4 * ((np.arange(self.m) * 0.37) % 1.0)
@@ -277,7 +275,7 @@ class Power(Valuation):
     @staticmethod
     def _values(P, X):
         w, r = P
-        return w * _row_pow(X[:, 0], r)
+        return w * X[:, 0] ** r
 
     @staticmethod
     def _partials(P, X):
@@ -286,7 +284,7 @@ class Power(Valuation):
             return w[:, None].copy(), np.ones(X.shape, dtype=bool)
         zero = X == 0.0
         with np.errstate(divide="ignore"):
-            G = (w * r * _row_pow(X[:, 0], r - 1.0))[:, None]
+            G = (w * r * X[:, 0] ** (r - 1.0))[:, None]
         G[zero] = np.inf
         return G, ~zero
 
@@ -296,7 +294,7 @@ class Power(Valuation):
         if r == 1.0:
             return np.zeros((X.shape[0], 1, 1))
         with np.errstate(divide="ignore"):
-            return (w * r * (r - 1.0) * _row_pow(X[:, 0], r - 2.0))[:, None, None]
+            return (w * r * (r - 1.0) * X[:, 0] ** (r - 2.0))[:, None, None]
 
     def values_batch(self, X):
         return self.weight * X[:, 0] ** self.degree
@@ -388,6 +386,11 @@ class CobbDouglas(Valuation):
     def divergent_at_zero(self):
         return self._active.copy()
 
+    def _value_per_cost(self, q):
+        e = self.exponents[self._active]
+        with np.errstate(divide="ignore"):
+            return float(self.scale * np.prod((e / q[self._active]) ** e))
+
     def to_json(self):
         return {
             "kind": self.kind,
@@ -433,7 +436,7 @@ class CesForm(Valuation):
     @staticmethod
     def _values(P, X):
         W, s, r = P
-        return _row_pow(CesForm._inner(W, s, X), r / s)
+        return CesForm._inner(W, s, X) ** (r / s)
 
     @staticmethod
     def _partials(P, X):
@@ -445,10 +448,10 @@ class CesForm(Valuation):
         S = CesForm._inner(W, s, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             if s < 1.0:
-                G = r * W * X ** (s - 1.0) * _row_pow(S, (r - s) / s)[:, None]
+                G = r * W * X ** (s - 1.0) * (S ** ((r - s) / s))[:, None]
                 div = valued & (X == 0.0)
             else:
-                G = r * W * _row_pow(S, r - 1.0)[:, None]
+                G = r * W * (S ** (r - 1.0))[:, None]
                 div = valued & (S == 0.0)[:, None] & (r < 1.0)
         G = np.where(valued & ~div, G, 0.0)
         G[div] = np.inf
@@ -466,13 +469,13 @@ class CesForm(Valuation):
         S = CesForm._inner(W, s, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             U = W * X ** (s - 1.0)
-            H = (r * (r - s) * _row_pow(S, r / s - 2.0))[:, None, None] * (
+            H = (r * (r - s) * S ** (r / s - 2.0))[:, None, None] * (
                 U[:, :, None] * U[:, None, :]
             )
             if s < 1.0:
                 diag = np.arange(m)
                 H[:, diag, diag] += (
-                    (r * (s - 1.0) * _row_pow(S, r / s - 1.0))[:, None] * W * X ** (s - 2.0)
+                    (r * (s - 1.0) * S ** (r / s - 1.0))[:, None] * W * X ** (s - 2.0)
                 )
         return np.where(valued[:, :, None] & valued[:, None, :], H, 0.0)
 
@@ -488,6 +491,15 @@ class CesForm(Valuation):
         if self.sigma < 1.0:
             return self.weights > 0
         return np.zeros(self.m, dtype=bool)
+
+    def _value_per_cost(self, q):
+        s = self.sigma
+        if s == 1.0:
+            return np.inf
+        sel = self.weights > 0
+        with np.errstate(divide="ignore"):
+            terms = self.weights[sel] ** (1.0 / (1.0 - s)) * q[sel] ** (-s / (1.0 - s))
+            return float(terms.sum() ** ((1.0 - s) / s))
 
     def to_json(self):
         return {
@@ -550,7 +562,8 @@ class ValuationStack:
     sigma) form a group.  Each method evaluates every group with its kind's
     kernel on the group's rows of an (n, m) allocation and scatters the
     results back into agent order.  No validation, and no per-agent Python
-    work: build it once and evaluate it many times.
+    work: build it once and evaluate it many times.  The per-agent facts
+    valued, divergent (n, m) and degrees (n,) are stacked on first use.
     """
 
     def __init__(self, valuations):
@@ -565,6 +578,18 @@ class ValuationStack:
             # a single group covers every agent in order: no gather or scatter
             index = slice(None) if len(rows) == self.n else np.array(rows)
             self._groups.append((type(members[0]), index, type(members[0])._stack(members)))
+
+    @cached_property
+    def valued(self) -> np.ndarray:
+        return np.stack([v.valued_goods() for v in self.valuations])
+
+    @cached_property
+    def divergent(self) -> np.ndarray:
+        return np.stack([v.divergent_at_zero() for v in self.valuations]) & self.valued
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.array([v.degree for v in self.valuations])
 
     def values(self, X) -> np.ndarray:
         """(n,) values, agent i at row i of X."""

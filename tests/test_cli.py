@@ -369,6 +369,25 @@ def test_fisher_water(water_file, tmp_path, capsys):
     assert blob["fisher_pass"] is True
 
 
+def test_fisher_certifies_once(water_file, tmp_path, monkeypatch):
+    # the report's certificate is the one that gates the conversion
+    from cesmarket import cli, pricing
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
+
+    certify = pricing.we_certificate
+    monkeypatch.setattr(cli, "we_certificate", counted)
+    monkeypatch.setattr(pricing, "we_certificate", counted)
+    sol = tmp_path / "sol.json"
+    assert run(["solve", water_file, "--out", str(sol)]) == 0
+    assert run(["fisher", water_file, str(sol)]) == 0
+    assert len(calls) == 1
+
+
 def test_fisher_rejects_bad_solution(water_file, tmp_path, capsys):
     sol = tmp_path / "bad.json"
     sol.write_text(json.dumps({"allocation": [[0.3], [0.3], [0.4]]}))

@@ -9,6 +9,7 @@ from cesmarket import (
     BadParameter,
     BadRho,
     CobbDouglas,
+    DidNotConverge,
     Instance,
     Linear,
     NotEquilibrium,
@@ -183,6 +184,13 @@ def test_nash_threshold_symmetric_cobb_douglas():
     q, ok = nash_threshold_pricing(inst)
     assert ok
     np.testing.assert_allclose(q, [1.0, 1.0], atol=1e-5)
+
+
+def test_nash_threshold_raises_above_tolerance():
+    # the log program certifies at residual 2.2e-16, above a 1e-300 tolerance
+    inst = Instance((CobbDouglas([0.3, 0.7]), CobbDouglas([0.6, 0.4])), 1.0)
+    with pytest.raises(DidNotConverge, match="threshold-pricing residual"):
+        nash_threshold_pricing(inst, tolerance=1e-300)
 
 
 def test_nash_threshold_spend_is_unit(rng):

@@ -39,3 +39,49 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no module of the package reads.
+
+    `sources` maps module names to their source.  A name is private when it
+    starts with one underscore; it is read when it appears as a loaded name
+    or an imported name anywhere in the package.  Attributes do not count:
+    a method of the same name does not keep a module-level leftover alive.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined += [
+                (module, node.lineno, name)
+                for name in targets
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}:{line}: {name}" for module, line, name in defined if name not in read]
+
+
+def test_private_checker_flags_unread_names():
+    sources = {
+        "a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n",
+        "b": "from .a import _B, _f\nclass _C:\n    pass\ndef _g(m):\n    return m._g\n",
+    }
+    assert unreferenced_privates(sources) == ["b:2: _C", "b:4: _g"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

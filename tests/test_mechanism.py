@@ -202,6 +202,13 @@ def test_best_response_is_truthful(rng):
         assert abs(best - true_w) <= step + 1e-12
 
 
+def test_response_curve_without_competition():
+    # zero competitor bids take no share: any bid wins everything for free
+    curve = response_curve(2.0, [0.0, 0.0], 1.0, 0.5, [1.0, 0.0, 0.5])
+    np.testing.assert_array_equal(curve, [2.0, 2.0, 2.0])
+    assert single_bid_payment(0.5, [0.0, 0.0], 1.0, 0.5) == 0.0
+
+
 def test_response_curve_matches_pointwise_payments():
     others = [1.0, 1.5]
     alpha = 1.0

@@ -134,6 +134,13 @@ def test_demand_residual_idle_agent_at_linear_prices():
     assert res == pytest.approx(0.5, abs=1e-12)
 
 
+def test_demand_residual_waived_coordinates_under_curved_prices():
+    # the value-per-cost bound decides demand only at linear prices; a rho < 1
+    # rule's marginal is zero at zero, where the divergent partials want in
+    rule = make_pricing_rule([1.0, 1.0], 0.5, 1.0)
+    assert demand_residual(rule, CobbDouglas([0.5, 0.5]), [0.0, 0.0]) == np.inf
+
+
 # -- certificates -------------------------------------------------------------------
 
 
@@ -251,6 +258,18 @@ def test_to_fisher_water_linear_zero_budgets():
     budgets, ok = to_fisher(inst, x, make_pricing_rule([6.0], 1.0, 1.0))
     assert ok
     np.testing.assert_allclose(budgets.budgets, [0.0, 6.0, 0.0], atol=1e-12)
+
+
+def test_to_fisher_flags_an_affordable_better_bundle():
+    # the agent holds its worse good; the loose tolerance passes stationarity
+    # and clearing residuals of 1, and good 1 costs its budget at twice the value
+    inst = Instance((Linear([1.0, 2.0]),), 1.0)
+    x = np.array([[1.0, 0.0]])
+    rule = make_pricing_rule([1.0, 1.0], 1.0, 1.0)
+    assert we_certificate(inst, x, rule, 2.0).passed
+    budgets, ok = to_fisher(inst, x, rule, 2.0)
+    assert not ok
+    np.testing.assert_array_equal(budgets.budgets, [1.0])
 
 
 def test_to_fisher_rejects_non_equilibrium():

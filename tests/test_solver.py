@@ -225,6 +225,17 @@ def test_did_not_converge_carries_result():
     np.testing.assert_allclose(res.allocation[:, 0], [1 / 12, 0.5, 5 / 12], atol=1e-5)
 
 
+def test_leontief_did_not_converge_carries_result():
+    # the 100-iteration search point stalls the refine at residual .273
+    W = [[2.5, 2.0, 1.5], [0.5, 0.5, 2.5], [1.5, 1.5, 1.0], [1.5, 2.0, 1.5]]
+    inst = Instance(tuple(Leontief(w) for w in W), 1.0)
+    with pytest.raises(DidNotConverge, match="Leontief first-order residual") as err:
+        solve_leontief(inst, max_iters=100)
+    res = err.value.result
+    np.testing.assert_allclose(res.alphas, [0.0, 0.0, 8.0 / 11.0, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(res.allocation, np.asarray(W) * res.alphas[:, None])
+
+
 def test_solve_linear_market_from_rough_search():
     # a 1000-iteration search leaves the refine far from the optimum; with a
     # finite-difference Jacobian it stalled at residual 0.73
@@ -272,12 +283,13 @@ def test_large_markets_certify(n, make):
 
 
 def test_fall_through_matches_full_search():
-    # the attempts at 100, 400 and 1600 fail and the search stalls at 6152,
-    # so the solve ends with the full-budget search and polish
+    # the attempts at 100, 400 and 1600 fail and the search stalls at 6000,
+    # so the solve ends with the full-budget search and polish (6003
+    # iterations); the weights are default_rng(36).uniform(0.3, 3.0, (3, 4))
     weights = [
-        [2.540335175494664, 1.9771566804170917, 2.2465065665944164, 0.34382878683273055],
-        [2.124480039513069, 2.7575066110617947, 0.6669604562618707, 2.4149194626822315],
-        [0.5252195594210337, 1.9601358606003292, 1.140673008645685, 1.2984403944419847],
+        [0.7877093463052576, 1.3752392539863048, 2.7133474896386702, 1.3891422202896004],
+        [2.1441124821755233, 1.6799184710767057, 1.7456516933222237, 2.663457033414785],
+        [0.964340250453005, 0.6837976241012923, 1.187276525215669, 1.4029362099255618],
     ]
     sigmas = [0.8, 1.0, 1.0]
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 0.25)

@@ -218,6 +218,9 @@ def test_stack_matches_each_agents_own_evaluation(market):
         assert_same_bits(G[i], g)
         assert_same_bits(ok[i], ok_i)
         assert_same_bits(H[i], v.hessian(X[i]))
+        assert_same_bits(stack.valued[i], v.valued_goods())
+        assert_same_bits(stack.divergent[i], v.divergent_at_zero() & v.valued_goods())
+        assert stack.degrees[i] == v.degree
 
 
 # -- structural properties ----------------------------------------------------
