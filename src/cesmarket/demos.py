@@ -24,13 +24,13 @@ from .errors import BadParameter, BadRho, DidNotConverge, NotEquilibrium
 from .jsonio import to_plain
 from .pricing import demand_residual, make_pricing_rule
 from .solver import (
+    _ORACLE_POINTS,
     Instance,
     _solve_smooth,
     as_allocation,
     closed_form_single_good,
     grid_oracle,
 )
-from .valuations import ValuationStack
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,9 @@ def _nash_solve(instance: Instance, tolerance: float = 1e-6):
     The log program is the exponent-0 program: its scaled marginals are
     dv_i/dx_ij / v_i.
     """
-    stack = ValuationStack(instance.valuations)
-    X, q, _, residual = _solve_smooth(stack, 0.0, tolerance=1e-8, max_iters=100_000)
+    X, q, _, residual = _solve_smooth(
+        instance._stack, 0.0, tolerance=1e-8, max_iters=100_000
+    )
     if residual > tolerance:
         raise DidNotConverge(
             f"threshold-pricing residual {residual:.3e} above {tolerance:.1e}"
@@ -241,11 +242,11 @@ def nash_threshold_pricing(instance: Instance, tolerance: float = 1e-6):
     return q, budget_check
 
 
-def _oracle_resolution(n: int, m: int, budget: int = 30_000_000) -> int:
+def _oracle_resolution(n: int, m: int) -> int:
     if m == 1 and n <= 3:
         return 2000
     for res in (400, 200, 100, 60, 40, 24, 16, 12, 8, 6, 4):
-        if math.comb(res + n - 1, n - 1) ** m <= budget:
+        if math.comb(res + n - 1, n - 1) ** m <= _ORACLE_POINTS:
             return res
     return 3
 

@@ -29,16 +29,17 @@ price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
 its price.  Its derivative, _marginal_jacobian, supplies the Newton steps.
 Both, and the search objective, evaluate all agents at once through one
-ValuationStack built per solve, which also holds the per-agent facts the
-refine and the residual read.  Only the refine's gradient query (G0) and
-the waiver's value-per-cost closed form (valuations.py) ask each agent.
+ValuationStack per market (an Instance builds its stack once), which also
+holds the per-agent facts the refine and the residual read.  Only the
+refine's gradient query (G0) and the waiver's value-per-cost closed form
+(valuations.py) ask each agent.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,8 @@ _NEWTON_RTOL = 1e-13      # Newton stops at max |F| <= this * max(1, max |q|)
 _NEWTON_STEPS = 60        # Newton steps per equality solve
 _REFINE_ROUNDS = 40       # support and priced-set repairs per refine
 _FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
+_ORACLE_POINTS = 30_000_000  # grid points the oracle scores at most by default
+_ORACLE_CHUNK = 1 << 18      # grid points the oracle scores per block
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,15 @@ class Instance:
     def degree(self) -> float:
         return self.valuations[0].degree
 
+    @cached_property
+    def _stack(self) -> ValuationStack:
+        # cached_property writes the instance __dict__, which a frozen
+        # dataclass allows
+        return ValuationStack(self.valuations)
+
     def values_at(self, allocation) -> np.ndarray:
         X = as_allocation(allocation, self.n, self.m)
-        return ValuationStack(self.valuations).values(X)
+        return self._stack.values(X)
 
 
 @dataclass(frozen=True)
@@ -659,7 +668,7 @@ def solve_ces(
     DidNotConverge (carrying the best iterate) when the final first-order
     residual exceeds `tolerance`.
     """
-    stack = ValuationStack(instance.valuations)
+    stack = instance._stack
     X, q, iters, residual = _solve_smooth(
         stack, instance.rho, tolerance=tolerance, max_iters=max_iters
     )
@@ -692,7 +701,7 @@ def extract_multipliers(
     disagree by more than 10x the allowed relative spread.
     """
     X = as_allocation(allocation, instance.n, instance.m)
-    M, _ = _scaled_marginals(ValuationStack(instance.valuations), X, instance.rho)
+    M, _ = _scaled_marginals(instance._stack, X, instance.rho)
     held = X > _HOLDER_EPS
     q = _holder_mean(M, X)
     for j in np.flatnonzero(held.any(axis=0)):
@@ -719,62 +728,76 @@ def extract_multipliers(
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of length `parts` summing to `total`.
 
-    Stars and bars: each choice of parts - 1 bar positions among
-    total + parts - 1 slots is one vector, its parts the gaps between bars.
-    Rows come in lexicographic order.
+    Each vector is the gaps between cut points 0 <= s_1 <= ... <=
+    s_{parts-1} <= total.  The cuts grow one column at a time: a row whose
+    last cut is a extends to a, a + 1, ..., total.  Rows come in
+    lexicographic order.  The array is column-major, so each part's column
+    is contiguous.
     """
-    slots = total + parts - 1
-    count = math.comb(slots, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    edges = np.hstack(
-        [np.full((count, 1), -1, dtype=np.int64), bars, np.full((count, 1), slots, dtype=np.int64)]
-    )
-    return np.diff(edges, axis=1) - 1
+    cuts = [np.zeros(1, dtype=np.int64)]
+    for _ in range(parts - 1):
+        last = cuts[-1]
+        reps = total + 1 - last
+        row = np.repeat(np.arange(last.size), reps)
+        # each new row's place in its parent's run, plus the parent's last cut
+        cut = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps - last, reps)
+        cuts = [c[row] for c in cuts] + [cut]
+    cuts.append(np.full(cuts[0].size, total))
+    return np.diff(np.stack(cuts), axis=0).T
 
 
 def grid_oracle(
-    instance: Instance, resolution: int, *, max_points: int = 30_000_000
+    instance: Instance, resolution: int, *, max_points: int = _ORACLE_POINTS
 ) -> np.ndarray:
     """Exhaustive search over per-good simplex grids; ground truth for tests.
 
     Each good's supply is split among agents in integer multiples of
     1/resolution (valuations are nondecreasing, so exhausting the supply is
     never worse).  Raises TooLarge when the full product grid would exceed
-    `max_points` candidates.  Deterministic: first best candidate wins.
+    `max_points` candidates.  Deterministic: first best candidate wins, in
+    the lexicographic order of the goods' splits.
+
+    The K splits of one good are enumerated once.  A grid point is the
+    (m,) vector C of its goods' split indices, and agent i's bundle at it is
+    share_i[C], share_i being agent i's share in every split.  Points are
+    scored in lexicographic order, in blocks of at most _ORACLE_CHUNK: the
+    trailing s goods, s < m the most with K**s <= _ORACLE_CHUNK, are
+    enumerated once, and a block repeats them under a run of splits of
+    good m - s - 1, the goods before it fixed; a grid of at most
+    _ORACLE_CHUNK points is one block.  Scoring is agent-major: each
+    agent's (points, m) bundles are one gather from its share row, scored
+    by its values_batch.  A block holds its (m, points) split indices, one
+    agent's bundles and the objective at a time.
     """
     if resolution < 1:
         raise BadParameter("resolution must be at least 1")
     n, m = instance.n, instance.m
     rho = instance.rho
-    per_good = math.comb(resolution + n - 1, n - 1)
-    total = per_good**m
-    if total > max_points:
-        raise TooLarge(
-            f"{per_good}**{m} = {total} grid points exceed the {max_points} budget"
-        )
-    cols = _compositions(resolution, n).astype(float) / resolution  # (K, n)
-    K = cols.shape[0]
+    K = math.comb(resolution + n - 1, n - 1)
+    if K**m > max_points:
+        raise TooLarge(f"{K}**{m} = {K**m} grid points exceed the {max_points} budget")
+    shares = _compositions(resolution, n).T / resolution    # (n, K), rows contiguous
+    s = max(t for t in range(m) if K**t <= _ORACLE_CHUNK)
+    head = m - s - 1                                        # goods fixed per block
+    trail = np.indices((K,) * s).reshape(s, K**s)
+    step = min(K, _ORACLE_CHUNK // K**s)
     best_obj = -np.inf
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        X = np.empty((idx.shape[0], n, m))
-        rem = idx
-        for j in range(m - 1, -1, -1):
-            rem, col_idx = np.divmod(rem, K)
-            X[:, :, j] = cols[col_idx]
-        obj = np.zeros(idx.shape[0])
-        for i, v in enumerate(instance.valuations):
-            obj += v.values_batch(X[:, i, :]) ** rho
-        obj = obj / rho
-        k = int(np.argmax(obj))
-        if obj[k] > best_obj:
-            best_obj = float(obj[k])
-            best = X[k].copy()
+    for fixed in np.ndindex((K,) * head):
+        for start in range(0, K, step):
+            run = np.arange(start, min(start + step, K))
+            C = np.empty((m, run.size, K**s), dtype=np.int64)
+            C[:head] = np.reshape(fixed, (head, 1, 1))
+            C[head] = run[:, None]
+            C[head + 1 :] = trail[:, None, :]
+            C = C.reshape(m, -1)
+            obj = np.zeros(C.shape[1])
+            for share, v in zip(shares, instance.valuations):
+                obj += v.values_batch(share[C].T) ** rho
+            obj = obj / rho
+            k = int(np.argmax(obj))
+            if obj[k] > best_obj:
+                best_obj = float(obj[k])
+                best = shares[:, C[:, k]]
     return best
 
 

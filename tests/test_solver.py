@@ -1,5 +1,6 @@
 """Allocation solvers: closed form, ellipsoid, grid oracle, Leontief."""
 
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from cesmarket import (
     solve_ces,
     solve_leontief,
 )
+from cesmarket import solver
 from cesmarket.solver import (
     _ellipsoid_phase,
     _kkt_refine,
@@ -71,6 +73,23 @@ def test_values_at():
     np.testing.assert_allclose(
         inst.values_at(np.array([[0.0], [1.0], [0.0]])), [0.0, 6.0, 0.0]
     )
+
+
+def test_instance_builds_its_stack_once(monkeypatch):
+    built = []
+
+    class CountingStack(ValuationStack):
+        def __init__(self, valuations):
+            built.append(valuations)
+            super().__init__(valuations)
+
+    monkeypatch.setattr(solver, "ValuationStack", CountingStack)
+    inst = water_instance(0.5)
+    X = np.array([[1 / 12], [0.5], [5 / 12]])
+    inst.values_at(X)
+    inst.values_at(X)
+    extract_multipliers(inst, X)
+    assert len(built) == 1
 
 
 def test_as_allocation_validation():
@@ -466,6 +485,94 @@ def test_grid_oracle_exhausts_supply(rng):
         inst = random_instance(rng, n=2, m=2)
         X = grid_oracle(inst, 30)
         np.testing.assert_allclose(X.sum(axis=0), [1.0, 1.0], atol=1e-12)
+
+
+def _naive_splits(resolution, n):
+    """One good's splits among n agents, in lexicographic order."""
+    return [c for c in itertools.product(range(resolution + 1), repeat=n) if sum(c) == resolution]
+
+
+def _naive_oracle(inst, resolution):
+    """First best grid point, and its objective, by enumerating the product grid."""
+    splits = _naive_splits(resolution, inst.n)
+    points = np.array(list(itertools.product(splits, repeat=inst.m))).transpose(0, 2, 1)
+    points = points / resolution                                  # (points, n, m)
+    obj = sum(v.values_batch(points[:, i]) ** inst.rho for i, v in enumerate(inst.valuations))
+    obj = obj / inst.rho
+    k = int(np.argmax(obj))
+    return points[k], obj[k]
+
+
+@pytest.mark.parametrize("total, parts", [(0, 3), (5, 1), (7, 2), (6, 3), (4, 5), (0, 1)])
+def test_compositions_match_lexicographic_enumeration(total, parts):
+    np.testing.assert_array_equal(
+        solver._compositions(total, parts), np.array(_naive_splits(total, parts))
+    )
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 2])
+@pytest.mark.parametrize(
+    "weights, rho, expected",
+    [
+        # every split ties exactly, so the first split of every good wins
+        ([1.0], 1.0, [[0.0], [1.0]]),
+        ([1.0, 1.0], 1.0, [[0.0, 0.0], [1.0, 1.0]]),
+        # the tie is agent 0 holding 1.5 in all: the first such point
+        ([1.0, 1.0, 1.0], 0.5, [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]]),
+    ],
+)
+def test_grid_oracle_breaks_ties_lexicographically(monkeypatch, chunk, weights, rho, expected):
+    monkeypatch.setattr(solver, "_ORACLE_CHUNK", chunk)
+    inst = Instance((Linear(weights), Linear(weights)), rho)
+    np.testing.assert_array_equal(grid_oracle(inst, 4), expected)
+
+
+# (market, resolution): K = 7 splits per good for the 2x3 market, 21 for
+# the 3x2 one
+ORACLE_MARKETS = [
+    (Instance((Linear([1.0, 2.0, 0.5]), Linear([1.5, 0.5, 1.0])), 0.5), 6),
+    (
+        Instance(
+            (CesForm([1.0, 2.0], 0.5, 1.0), CesForm([2.0, 0.7], 0.6, 1.0), Linear([1.2, 1.1])),
+            0.75,
+        ),
+        5,
+    ),
+]
+
+
+# The chunk sets s, the trailing goods enumerated once (the most, short
+# of m, with K**s <= chunk), and the run of splits of good m - s - 1 that
+# one block walks; the default chunk scores each market in one block.
+@pytest.mark.parametrize(
+    "market, chunk",
+    [
+        (0, 343),   # s = 2, runs of 7: one block
+        (0, 100),   # s = 2, runs of 2, the last one short
+        (0, 20),    # s = 1, runs of 2 under each split of good 0
+        (0, 10),    # s = 1, runs of 1
+        (0, 5),     # s = 0, K > chunk: runs of 5 under each split of goods 0, 1
+        (1, 30),    # s = 1, runs of 1
+        (1, 20),    # s = 0, runs of 20, the last one short
+    ],
+)
+def test_grid_oracle_blocks_match_naive_enumeration(monkeypatch, market, chunk):
+    inst, resolution = ORACLE_MARKETS[market]
+    X = grid_oracle(inst, resolution)
+    best, best_obj = _naive_oracle(inst, resolution)
+    np.testing.assert_array_equal(X, best)
+    obj = sum(v.values_batch(X[i][None]) ** inst.rho for i, v in enumerate(inst.valuations))
+    assert float(obj[0] / inst.rho) == best_obj
+    monkeypatch.setattr(solver, "_ORACLE_CHUNK", chunk)
+    rows = []
+    for cls in {type(v) for v in inst.valuations}:
+        monkeypatch.setattr(
+            cls, "values_batch", lambda v, Z, f=cls.values_batch: rows.append(len(Z)) or f(v, Z)
+        )
+    assert grid_oracle(inst, resolution).tobytes() == X.tobytes()
+    # every point is scored once per agent, at most `chunk` at a time
+    assert sum(rows) == inst.n * len(_naive_splits(resolution, inst.n)) ** inst.m
+    assert max(rows) <= chunk
 
 
 # -- Leontief ---------------------------------------------------------------------
