@@ -29,7 +29,7 @@ from .mechanism import (
     vcg_single_good,
 )
 from .pricing import (
-    _fisher_scan,
+    _fisher_check,
     _require_certified,
     equilibrium_rule,
     make_pricing_rule,
@@ -264,7 +264,7 @@ def _cmd_fisher(args) -> int:
     cert = we_certificate(instance, X, rule, tol)
     # to_fisher's two steps, reusing the report's certificate
     _require_certified(cert)
-    budgets, fisher_pass = _fisher_scan(instance, X, rule)
+    budgets, fisher_pass = _fisher_check(instance, X, rule)
     payload = report(
         "fisher",
         {

@@ -23,7 +23,7 @@ from .solver import (
     as_allocation,
     extract_multipliers,
 )
-from .valuations import Valuation, as_bundle
+from .valuations import Valuation, ValuationStack, as_bundle
 
 DEFAULT_TOL = 1e-6
 
@@ -148,7 +148,9 @@ def demand_residual(rule: PricingRule, v: Valuation, bundle) -> float:
     x = as_bundle(bundle, rule.m)
     if v.m != rule.m:
         raise DimensionMismatch("valuation and rule cover different goods")
-    res, waived = _stationarity_residual((v,), x[None, :], rule.marginal(x), 1.0)
+    res, waived = _stationarity_residual(
+        ValuationStack((v,)), x[None, :], rule.marginal(x), 1.0
+    )
     if waived and rule.rho != 1.0:
         # the value-per-cost bound decides demand only at linear prices
         return float("inf")
@@ -169,7 +171,8 @@ def we_certificate(
     if rule.m != instance.m:
         raise DimensionMismatch("rule and instance cover different goods")
     q = rule.q
-    stat, waived = _stationarity_residual(instance.valuations, X, q, instance.rho)
+    stack = instance._stack
+    stat, waived = _stationarity_residual(stack, X, q, instance.rho)
 
     priced = q > 0
     clearing = 0.0
@@ -177,7 +180,7 @@ def we_certificate(
         clearing = float(np.abs(1.0 - X[:, priced].sum(axis=0)).max())
 
     target = instance.rho * instance.degree
-    payment = np.abs(rule.price_many(X) - target * instance.values_at(X)).max()
+    payment = np.abs(rule.price_many(X) - target * stack.values(X)).max()
 
     return Certificate(
         stationarity=stat,
@@ -209,59 +212,22 @@ class FisherBudgets:
         return to_plain(self)
 
 
-def _affordable_best(rule, v, budget, candidates):
-    """Largest valuation among candidate bundles costing at most `budget`."""
-    prices = rule.price_many(candidates)
-    ok = prices <= budget + 1e-9
-    if not ok.any():
-        return -np.inf
-    vals = v.values_batch(candidates[ok])
-    return float(vals.max())
-
-
-def _fisher_candidates(m, x_i):
-    """Deterministic probe bundles for the budget-optimality scan."""
-    if m == 1:
-        return np.linspace(0.0, 1.0, 2001)[:, None]
-    if m == 2:
-        axis = np.linspace(0.0, 1.0, 161)
-        A, B = np.meshgrid(axis, axis, indexing="ij")
-        return np.column_stack([A.ravel(), B.ravel()])
-    # m >= 3: coordinate line scans plus pairwise transfers around x_i
-    ts = np.linspace(0.0, 1.0, 101)
-    out = [x_i[None, :]]
-    for j in range(m):
-        block = np.repeat(x_i[None, :], ts.shape[0], axis=0)
-        block[:, j] = ts
-        out.append(block)
-    deltas = np.linspace(0.0, 1.0, 51)
-    for j in range(m):
-        for k in range(m):
-            if j == k:
-                continue
-            d = deltas[deltas <= x_i[k]]
-            block = np.repeat(x_i[None, :], d.shape[0], axis=0)
-            block[:, j] += d
-            block[:, k] -= d
-            out.append(np.clip(block, 0.0, 1.0))
-    return np.vstack(out)
-
-
 def to_fisher(
     instance: Instance, allocation, rule: PricingRule, tolerance: float = DEFAULT_TOL
 ):
     """Convert a certified equilibrium into budgets and verify them.
 
-    Budgets are the equilibrium payments B_i = p(x_i).  The verification
-    scans affordable bundles (full grid up to two goods, coordinate and
-    pairwise-transfer scans above that) and checks no agent can afford a
-    strictly better bundle.  Returns (FisherBudgets, fisher_pass).
+    Budgets are the equilibrium payments B_i = p(x_i).  The price rises
+    with q . x, so agent i's budget set {p(x) <= B_i} is the whole set
+    {x >= 0 : q . x <= q . x_i}, and the verification is exact over it:
+    fisher_pass says no agent can afford a bundle worth more than its own
+    (within 1e-6).  Returns (FisherBudgets, fisher_pass).
 
     Raises NotEquilibrium when the input pair fails certification.
     """
     X = as_allocation(allocation, instance.n, instance.m)
     _require_certified(we_certificate(instance, X, rule, tolerance))
-    return _fisher_scan(instance, X, rule)
+    return _fisher_check(instance, X, rule)
 
 
 def _require_certified(cert):
@@ -273,18 +239,19 @@ def _require_certified(cert):
         )
 
 
-def _fisher_scan(instance, X, rule):
-    """to_fisher's budgets and budget-optimality scan on a certified pair."""
-    budgets = rule.price_many(X)
-    values = instance.values_at(X)
-    fisher_pass = True
-    for i, v in enumerate(instance.valuations):
-        candidates = _fisher_candidates(instance.m, X[i])
-        best = _affordable_best(rule, v, budgets[i], candidates)
-        if best > values[i] + 1e-6:
-            fisher_pass = False
-            break
-    return FisherBudgets(budgets=budgets), fisher_pass
+def _fisher_check(instance, X, rule):
+    """to_fisher's budgets and budget-optimality check on a certified pair.
+
+    By homogeneity the best value at cost beta_i = q . x_i is
+    u_i * beta_i**r, u_i the agent's best value at unit cost.
+    """
+    stack = instance._stack
+    u = np.array([v._value_per_cost(rule.q) for v in stack.valuations])
+    with np.errstate(invalid="ignore"):
+        # a free valued good makes any budget, even zero, unbounded
+        best = np.where(np.isinf(u), np.inf, u * (X @ rule.q) ** stack.degrees)
+    fisher_pass = bool(np.all(best <= stack.values(X) + 1e-6))
+    return FisherBudgets(budgets=rule.price_many(X)), fisher_pass
 
 
 def weighted_shift_certificate(
@@ -310,8 +277,6 @@ def weighted_shift_certificate(
         raise NotEquilibrium(
             f"certificate residual {cert.max_residual:.3e} exceeds {tolerance:.1e}"
         )
-    weights = instance.values_at(X)
-    res, _ = _stationarity_residual(
-        instance.valuations, X, q, rho - 1.0, weights=weights
-    )
+    stack = instance._stack
+    res, _ = _stationarity_residual(stack, X, q, rho - 1.0, weights=stack.values(X))
     return res <= tolerance

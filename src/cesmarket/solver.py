@@ -30,9 +30,12 @@ v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
 its price.  Its derivative, _marginal_jacobian, supplies the Newton steps.
 Both, and the search objective, evaluate all agents at once through one
 ValuationStack per market (an Instance builds its stack once), which also
-holds the per-agent facts the refine and the residual read.  Only the
-refine's gradient query (G0) and the waiver's value-per-cost closed form
-(valuations.py) ask each agent.
+holds the per-agent facts the refine and the residual read.  The
+residual, _stationarity_residual, takes its caller's stack: the
+certificate passes the instance's, and the public kkt_residual builds
+one.  Only the refine's gradient query (G0) and the waiver's best value
+at unit cost (_value_per_cost in valuations.py, which the Fisher check
+also reads) ask each agent.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ def _holder_mean(M, X, empty=0.0):
     return np.where(count > 0, total / np.maximum(count, 1), empty)
 
 
-def _stationarity_residual(vals, X, P, e, weights=None):
+def _stationarity_residual(stack, X, P, e, weights=None):
     """Worst violation of [scaled marginal <= P_ij, equality where x_ij > 0].
 
     P holds each agent's price row (one shared row broadcasts).  Agents
@@ -274,7 +277,6 @@ def _stationarity_residual(vals, X, P, e, weights=None):
     coordinates.  Returns (residual, waived coordinate list).
     """
     P = np.broadcast_to(P, X.shape)
-    stack = ValuationStack(vals)
     M, div = _scaled_marginals(stack, X, e, weights)
     with np.errstate(invalid="ignore"):
         E = M - P
@@ -283,7 +285,7 @@ def _stationarity_residual(vals, X, P, e, weights=None):
     idle = (e == 1.0) & (stack.degrees == 1.0) & ~(stack.valued & (X != 0.0)).any(axis=1)
     waived = div & idle[:, None]
     for i in np.flatnonzero(waived.any(axis=1)):
-        gap[i, waived[i]] = max(vals[i]._value_per_cost(P[i]) - 1.0, 0.0)
+        gap[i, waived[i]] = max(stack.valuations[i]._value_per_cost(P[i]) - 1.0, 0.0)
     if weights is not None:
         gap = gap[np.asarray(weights) != 0.0]
     return float(gap.max(initial=0.0)), [(int(i), int(j)) for i, j in np.argwhere(waived)]
@@ -306,7 +308,7 @@ def kkt_residual(vals, rho, X, q, A=None):
     """
     n, k = X.shape
     A = _supply_rows(n, k) if A is None else A
-    res, _ = _stationarity_residual(vals, X, (A @ q).reshape(n, k), rho)
+    res, _ = _stationarity_residual(ValuationStack(vals), X, (A @ q).reshape(n, k), rho)
     if np.any(q < 0):
         res = max(res, float(-q.min()))
     usage = _bundles(X, A).sum(axis=0)

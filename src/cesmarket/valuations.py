@@ -19,8 +19,11 @@ CES, the degree for power).  It evaluates every agent with one kernel
 call per group and no validation; the solver builds one per solve and
 reads its per-agent facts (valued, divergent, degrees) from it.
 values_batch, one agent's values over many bundles (a matrix-vector
-product), is the grid oracle's path and keeps its own form.  A kind's one
-agent-level closed form, _value_per_cost, defaults to inf.
+product), is the grid oracle's path and keeps its own form.  Every kind
+with a gradient has one agent-level closed form, _value_per_cost(q): the
+largest v(d) over bundles with q . d = 1, at any degree (inf when a valued
+good is free), so that by homogeneity beta**r times it is the best value
+at cost beta.  Leontief, which never reaches a first-order check, has none.
 """
 
 from __future__ import annotations
@@ -73,6 +76,13 @@ def _row_dot(A, B):
     which einsum and (A * B).sum(1) do not.
     """
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _best_ratio(w, q) -> float:
+    """max w_j / q_j over the goods with w_j > 0; inf when one of them is free."""
+    sel = w > 0
+    with np.errstate(divide="ignore"):
+        return float(np.max(w[sel] / q[sel]))
 
 
 class Valuation(ABC):
@@ -182,14 +192,6 @@ class Valuation(ABC):
         """
         return np.zeros(self.m, dtype=bool)
 
-    def _value_per_cost(self, q) -> float:
-        """Largest v(x) / (q . x) of a degree-1 agent at prices q.
-
-        Closed forms cover the kinds whose partials diverge at zero at degree
-        1; any other kind diverges only below degree 1, where it is inf.
-        """
-        return np.inf
-
     def _check_homogeneity(self):
         """Numeric check that value() scales like degree says, at 3 points."""
         base = 0.3 + 0.4 * ((np.arange(self.m) * 0.37) % 1.0)
@@ -248,6 +250,9 @@ class Linear(Valuation):
     def valued_goods(self):
         return self.weights > 0
 
+    def _value_per_cost(self, q):
+        return _best_ratio(self.weights, q)
+
     def to_json(self):
         return {"kind": self.kind, "weights": [float(w) for w in self.weights]}
 
@@ -304,6 +309,10 @@ class Power(Valuation):
 
     def divergent_at_zero(self):
         return np.array([self.degree < 1.0])
+
+    def _value_per_cost(self, q):
+        with np.errstate(divide="ignore"):
+            return float(self.weight * q[0] ** -self.degree)
 
     def to_json(self):
         return {
@@ -387,9 +396,10 @@ class CobbDouglas(Valuation):
         return self._active.copy()
 
     def _value_per_cost(self, q):
+        # the optimum spends the share e_j / r of the budget on good j
         e = self.exponents[self._active]
         with np.errstate(divide="ignore"):
-            return float(self.scale * np.prod((e / q[self._active]) ** e))
+            return float(self.scale * np.prod((e / (self.degree * q[self._active])) ** e))
 
     def to_json(self):
         return {
@@ -493,13 +503,14 @@ class CesForm(Valuation):
         return np.zeros(self.m, dtype=bool)
 
     def _value_per_cost(self, q):
+        # the degree-1 form's best value u at unit cost, raised to the degree
         s = self.sigma
         if s == 1.0:
-            return np.inf
+            return _best_ratio(self.weights, q) ** self.degree
         sel = self.weights > 0
         with np.errstate(divide="ignore"):
             terms = self.weights[sel] ** (1.0 / (1.0 - s)) * q[sel] ** (-s / (1.0 - s))
-            return float(terms.sum() ** ((1.0 - s) / s))
+            return float(terms.sum() ** ((1.0 - s) / s)) ** self.degree
 
     def to_json(self):
         return {

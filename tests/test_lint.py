@@ -41,18 +41,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level private names that no module of the package reads.
+    """Private names, module-level or methods, that no module of the package reads.
 
     `sources` maps module names to their source.  A name is private when it
-    starts with one underscore; it is read when it appears as a loaded name
-    or an imported name anywhere in the package.  Attributes do not count:
-    a method of the same name does not keep a module-level leftover alive.
+    starts with one underscore.  A module-level name is read when it appears
+    as a loaded name or an imported name anywhere in the package; attributes
+    do not count, so a method of the same name does not keep a module-level
+    leftover alive.  A private method defined in a class body is read when
+    it appears as a loaded attribute anywhere in the package.
     """
     defined, read = [], set()
+    methods, attributes = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (module, item.lineno, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and _is_private(item.name)
+                ]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 targets = [node.name]
             elif isinstance(node, ast.Assign):
@@ -61,25 +74,38 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
                 targets = [node.target.id]
             else:
                 continue
-            defined += [
-                (module, node.lineno, name)
-                for name in targets
-                if name.startswith("_") and not name.startswith("__")
-            ]
+            defined += [(module, node.lineno, name) for name in targets if _is_private(name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return [f"{module}:{line}: {name}" for module, line, name in defined if name not in read]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return [
+        f"{module}:{line}: {name}" for module, line, name in defined if name not in read
+    ] + [
+        f"{module}:{line}: {label}"
+        for module, line, label, name in methods
+        if name not in attributes
+    ]
 
 
 def test_private_checker_flags_unread_names():
     sources = {
         "a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n",
         "b": "from .a import _B, _f\nclass _C:\n    pass\ndef _g(m):\n    return m._g\n",
+        # a method is read as an attribute; a bare name of the same spelling
+        # or a store does not count
+        "c": (
+            "class K:\n    def _h(self):\n        return self._k()\n"
+            "    def _k(self):\n        return _m\n    def _m(self):\n"
+            "        self._h = 1\n    def __init__(self):\n        pass\n"
+        ),
     }
-    assert unreferenced_privates(sources) == ["b:2: _C", "b:4: _g"]
+    assert unreferenced_privates(sources) == [
+        "b:2: _C", "b:4: _g", "c:2: K._h", "c:6: K._m"
+    ]
 
 
 def test_no_unreferenced_private_names():

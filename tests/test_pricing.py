@@ -260,16 +260,28 @@ def test_to_fisher_water_linear_zero_budgets():
     np.testing.assert_allclose(budgets.budgets, [0.0, 6.0, 0.0], atol=1e-12)
 
 
-def test_to_fisher_flags_an_affordable_better_bundle():
-    # the agent holds its worse good; the loose tolerance passes stationarity
-    # and clearing residuals of 1, and good 1 costs its budget at twice the value
-    inst = Instance((Linear([1.0, 2.0]),), 1.0)
-    x = np.array([[1.0, 0.0]])
-    rule = make_pricing_rule([1.0, 1.0], 1.0, 1.0)
+@pytest.mark.parametrize(
+    "v, q",
+    [
+        (Linear([1.0, 2.0]), [1.0, 1.0]),
+        (Linear([1.0, 3.0, 0.1]), [1.0, 2.0, 1.0]),
+        (CesForm([1.0, 3.0, 0.1], 1.0, 0.5), [0.5, 1.0, 0.5]),
+    ],
+    ids=["m2", "m3", "m3-degree0.5"],
+)
+def test_to_fisher_flags_an_affordable_better_bundle(v, q):
+    # the agent holds good 0; the loose tolerance passes stationarity and
+    # clearing residuals of 1 and below.  At m = 2 good 1 costs the budget at
+    # twice the value.  At m = 3 half a unit of the pricier good 1 costs the
+    # budget and is worth 1.5 (sqrt 1.5 at degree .5): no probe that moves
+    # mass one for one finds it.
+    inst = Instance((v,), 1.0)
+    x = np.eye(1, v.m)
+    rule = make_pricing_rule(q, 1.0, v.degree)
     assert we_certificate(inst, x, rule, 2.0).passed
     budgets, ok = to_fisher(inst, x, rule, 2.0)
     assert not ok
-    np.testing.assert_array_equal(budgets.budgets, [1.0])
+    np.testing.assert_array_equal(budgets.budgets, [q[0]])
 
 
 def test_to_fisher_rejects_non_equilibrium():

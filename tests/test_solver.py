@@ -31,6 +31,8 @@ from cesmarket import (
     make_pricing_rule,
     solve_ces,
     solve_leontief,
+    to_fisher,
+    we_certificate,
 )
 from cesmarket import solver
 from cesmarket.solver import (
@@ -84,12 +86,16 @@ def test_instance_builds_its_stack_once(monkeypatch):
             super().__init__(valuations)
 
     monkeypatch.setattr(solver, "ValuationStack", CountingStack)
-    inst = water_instance(0.5)
     X = np.array([[1 / 12], [0.5], [5 / 12]])
-    inst.values_at(X)
-    inst.values_at(X)
-    extract_multipliers(inst, X)
-    assert len(built) == 1
+    rule = make_pricing_rule([2.0 * np.sqrt(3.0)], 0.5, 1.0)
+    uses = (
+        lambda inst: (inst.values_at(X), inst.values_at(X), extract_multipliers(inst, X)),
+        lambda inst: (we_certificate(inst, X, rule), to_fisher(inst, X, rule)),
+    )
+    for use in uses:
+        built.clear()
+        use(water_instance(0.5))
+        assert len(built) == 1
 
 
 def test_as_allocation_validation():

@@ -17,6 +17,7 @@ from cesmarket import (
     Power,
     euler_residual,
 )
+from cesmarket.solver import _compositions
 from cesmarket.valuations import DEGREE_TOL, ValuationStack, as_bundle, from_json
 
 from conftest import random_valuation
@@ -278,6 +279,33 @@ def test_divergent_at_zero_masks():
     )
     assert CesForm([1.0, 1.0], 0.5, 1.0).divergent_at_zero().all()
     assert not CesForm([1.0, 1.0], 1.0, 1.0).divergent_at_zero().any()
+
+
+def _unit_cost_cases():
+    w, base = np.array([1.0, 3.0, 0.5]), np.array([3.0, 2.0, 1.0])
+    for m in (1, 2, 3):
+        yield pytest.param(Linear(w[:m]), id=f"linear-m{m}")
+        for r in (0.6, 1.0):
+            v = CobbDouglas(r * base[:m] / base[:m].sum(), 2.0)
+            yield pytest.param(v, id=f"cobb-douglas-r{r}-m{m}")
+        for sigma in (0.5, 1.0):
+            for r in (0.5, 1.0):
+                yield pytest.param(CesForm(w[:m], sigma, r), id=f"ces-s{sigma}-r{r}-m{m}")
+    for r in (0.5, 1.0):
+        yield pytest.param(Power(2.0, r), id=f"power-r{r}-m1")
+
+
+@pytest.mark.parametrize("v", _unit_cost_cases())
+def test_value_per_cost_is_the_best_value_at_unit_cost(v):
+    # a simplex grid of budget shares y, mapped onto q . d = 1 by d = y / q
+    q = np.array([0.7, 1.3, 2.1])[: v.m]
+    grid = v.values_batch(_compositions(400, v.m) / 400 / q)
+    best = v._value_per_cost(q)
+    assert np.all(grid <= best * (1.0 + 1e-12))
+    assert best <= grid.max() * (1.0 + 1e-3)
+    free = q.copy()
+    free[0] = 0.0
+    assert v._value_per_cost(free) == np.inf
 
 
 def test_valued_goods():
