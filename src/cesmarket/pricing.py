@@ -225,16 +225,19 @@ def to_fisher(
 
     Raises NotEquilibrium when the input pair fails certification.
     """
-    X = as_allocation(allocation, instance.n, instance.m)
-    _require_certified(we_certificate(instance, X, rule, tolerance))
-    return _fisher_check(instance, X, rule)
+    _require_certified(we_certificate(instance, allocation, rule, tolerance))
+    return _fisher_check(instance, np.asarray(allocation, dtype=float), rule)
 
 
 def _require_certified(cert):
-    """to_fisher's gate: raise NotEquilibrium unless the certificate passed."""
+    """The one NotEquilibrium gate: raise unless the certificate passed.
+
+    we_certificate validated the allocation, so callers past the gate read
+    it with np.asarray and validate it no more.
+    """
     if not cert.passed:
         raise NotEquilibrium(
-            f"cannot convert: certificate residual {cert.max_residual:.3e} "
+            f"certificate residual {cert.max_residual:.3e} "
             f"exceeds tolerance {cert.tolerance:.1e}"
         )
 
@@ -255,28 +258,23 @@ def _fisher_check(instance, X, rule):
 
 
 def weighted_shift_certificate(
-    instance: Instance, allocation, rho: float | None = None, tolerance: float = DEFAULT_TOL
+    instance: Instance, allocation, tolerance: float = DEFAULT_TOL
 ) -> bool:
     """Check the optimum also solves the value-weighted lower-curvature program.
 
     With weights a_i = v_i(x_i), the same allocation and multipliers must
     satisfy the first-order conditions of the weighted program at curvature
-    rho - 1 (the weighted log objective when rho = 1).  Raises
-    NotEquilibrium when the unweighted certificate fails to begin with.
+    rho - 1 (the weighted log objective when rho = 1), rho the instance's.
+    Raises NotEquilibrium when the unweighted certificate fails to begin with.
     """
-    X = as_allocation(allocation, instance.n, instance.m)
-    if rho is None:
-        rho = instance.rho
     try:
-        q = extract_multipliers(instance, X)
+        rule = equilibrium_rule(instance, allocation)
     except InconsistentMultipliers as exc:
         raise NotEquilibrium(f"allocation is not an optimum: {exc}") from exc
-    rule = make_pricing_rule(q, rho, instance.degree)
-    cert = we_certificate(instance, X, rule, tolerance)
-    if not cert.passed:
-        raise NotEquilibrium(
-            f"certificate residual {cert.max_residual:.3e} exceeds {tolerance:.1e}"
-        )
+    _require_certified(we_certificate(instance, allocation, rule, tolerance))
+    X = np.asarray(allocation, dtype=float)
     stack = instance._stack
-    res, _ = _stationarity_residual(stack, X, q, rho - 1.0, weights=stack.values(X))
+    res, _ = _stationarity_residual(
+        stack, X, rule.q, instance.rho - 1.0, weights=stack.values(X)
+    )
     return res <= tolerance

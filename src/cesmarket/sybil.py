@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMultiplicity, BadParameter, NotEquilibrium, UnsupportedDegree
+from .errors import BadMultiplicity, BadParameter, UnsupportedDegree
 from .jsonio import to_plain
-from .pricing import PricingRule, we_certificate
-from .solver import Instance, as_allocation
+from .pricing import PricingRule, _require_certified, we_certificate
+from .solver import Instance
 from .valuations import Valuation, as_bundle
 
 
@@ -94,7 +94,8 @@ def swe_check(
     Requires a degree-1 instance (the split calculus uses homogeneity
     degree one).  is_swe is true iff every agent's value clears the
     threshold test; cap = kappa / (1 - rho) bounds each stable agent's
-    value and n**(1/rho) * cap bounds the attainable welfare.
+    value and n**(1/rho) * cap bounds the attainable welfare.  Raises
+    NotEquilibrium unless the (allocation, rule) pair certifies.
     """
     if instance.degree != 1.0:
         raise UnsupportedDegree(
@@ -103,15 +104,9 @@ def swe_check(
         )
     if kappa < 0:
         raise BadParameter("kappa must be nonnegative")
-    X = as_allocation(allocation, instance.n, instance.m)
-    cert = we_certificate(instance, X, rule, tolerance)
-    if not cert.passed:
-        raise NotEquilibrium(
-            f"allocation is not a certified equilibrium "
-            f"(residual {cert.max_residual:.3e})"
-        )
+    _require_certified(we_certificate(instance, allocation, rule, tolerance))
     rho = instance.rho
-    values = tuple(instance.values_at(X).tolist())
+    values = tuple(instance._stack.values(np.asarray(allocation, dtype=float)).tolist())
     statuses = tuple(sybil_status(v, rho, kappa) for v in values)
     cap = math.inf if rho == 1.0 else kappa / (1.0 - rho)
     welfare_cap = math.inf if rho == 1.0 else instance.n ** (1.0 / rho) * cap

@@ -11,13 +11,16 @@ Each closed form is written once, in an agent-stacked kernel.  A kind's
 static _values, _partials and _hessians take its stacked parameters
 (from _stack) and a (k, m) array whose row i is agent i's bundle.  They
 return the k values, the (k, m) partials with their finiteness mask, or
-the (k, m, m) Hessians; Leontief has values only.  The public one-bundle
-methods value, partials and hessian check the bundle with as_bundle, then
-run the same kernel on one row.  ValuationStack groups a market's agents
-by kind, and by the scalars a kind's kernels take (sigma and degree for
-CES, the degree for power).  It evaluates every agent with one kernel
-call per group and no validation; the solver builds one per solve and
-reads its per-agent facts (valued, divergent, degrees) from it.
+the (k, m, m) Hessians; Leontief has values only.  Power, the paper's
+single-good w * x**r, is the Cobb-Douglas form with one exponent and runs
+its kernels.  The public one-bundle methods value, partials and hessian
+check the bundle with as_bundle, then run the same kernel on one row.
+ValuationStack groups a market's agents by kind, and by the scalars a
+kind's kernels take (sigma and degree for CES).  It evaluates every agent
+with one kernel call per group and no validation; the solver builds one
+per solve and reads its per-agent facts (valued, divergent, degrees) from
+it.  Linear, CES and Leontief weights, and Cobb-Douglas exponents, pass
+one check (_weight_vector).
 values_batch, one agent's values over many bundles (a matrix-vector
 product), is the grid oracle's path and keeps its own form.  Every kind
 with a gradient has one agent-level closed form, _value_per_cost(q): the
@@ -76,6 +79,19 @@ def _row_dot(A, B):
     which einsum and (A * B).sum(1) do not.
     """
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _weight_vector(weights, kind: str) -> np.ndarray:
+    """A read-only copy of weights: finite, nonnegative, with a positive entry."""
+    w = np.array(weights, dtype=float, ndmin=1)
+    if w.ndim != 1:
+        raise DimensionMismatch("weights must be a vector")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise BadParameter(f"{kind} weights must be finite and nonnegative")
+    if not np.any(w > 0):
+        raise BadParameter(f"{kind} valuation needs a positive weight")
+    w.flags.writeable = False
+    return w
 
 
 def _best_ratio(w, q) -> float:
@@ -215,16 +231,8 @@ class Linear(Valuation):
     kind = "linear"
 
     def __init__(self, weights):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.ndim != 1:
-            raise DimensionMismatch("weights must be a vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise BadParameter("linear weights must be finite and nonnegative")
-        if not np.any(w > 0):
-            raise BadParameter("linear valuation needs a positive weight")
-        super().__init__(w.shape[0], 1.0)
-        self.weights = w
-        self.weights.flags.writeable = False
+        self.weights = _weight_vector(weights, self.kind)
+        super().__init__(self.weights.shape[0], 1.0)
         self._check_homogeneity()
 
     @classmethod
@@ -257,100 +265,28 @@ class Linear(Valuation):
         return {"kind": self.kind, "weights": [float(w) for w in self.weights]}
 
 
-class Power(Valuation):
-    """v(x) = w * x**r on a single good, w > 0, r in (0, 1]."""
-
-    kind = "power"
-
-    def __init__(self, weight, degree):
-        w = float(weight)
-        if not np.isfinite(w) or w <= 0:
-            raise BadParameter("power weight must be positive and finite")
-        super().__init__(1, degree)
-        self.weight = w
-        self._check_homogeneity()
-
-    def _group(self):
-        return (Power, self.degree)
-
-    @classmethod
-    def _stack(cls, members):
-        return np.array([v.weight for v in members]), members[0].degree
-
-    @staticmethod
-    def _values(P, X):
-        w, r = P
-        return w * X[:, 0] ** r
-
-    @staticmethod
-    def _partials(P, X):
-        w, r = P
-        if r == 1.0:
-            return w[:, None].copy(), np.ones(X.shape, dtype=bool)
-        zero = X == 0.0
-        with np.errstate(divide="ignore"):
-            G = (w * r * X[:, 0] ** (r - 1.0))[:, None]
-        G[zero] = np.inf
-        return G, ~zero
-
-    @staticmethod
-    def _hessians(P, X):
-        w, r = P
-        if r == 1.0:
-            return np.zeros((X.shape[0], 1, 1))
-        with np.errstate(divide="ignore"):
-            return (w * r * (r - 1.0) * X[:, 0] ** (r - 2.0))[:, None, None]
-
-    def values_batch(self, X):
-        return self.weight * X[:, 0] ** self.degree
-
-    def valued_goods(self):
-        return np.array([True])
-
-    def divergent_at_zero(self):
-        return np.array([self.degree < 1.0])
-
-    def _value_per_cost(self, q):
-        with np.errstate(divide="ignore"):
-            return float(self.weight * q[0] ** -self.degree)
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "weights": [float(self.weight)],
-            "degree": float(self.degree),
-        }
-
-
 class CobbDouglas(Valuation):
-    """v(x) = scale * prod_j x_j**e_j with e >= 0 and degree = sum(e) in (0, 1]."""
+    """v(x) = scale * prod_j x_j**e_j with e >= 0 and degree = sum(e) in (0, 1].
+
+    A unit exponent e_j = 1 leaves the others at most DEGREE_TOL, and v is
+    linear in x_j: its partial along j is finite at x_j = 0.
+    """
 
     kind = "cobb-douglas"
 
     def __init__(self, exponents, scale=1.0):
-        e = np.atleast_1d(np.asarray(exponents, dtype=float))
-        if e.ndim != 1:
-            raise DimensionMismatch("exponents must be a vector")
-        if not np.all(np.isfinite(e)) or np.any(e < 0):
-            raise BadParameter("exponents must be finite and nonnegative")
-        if not np.any(e > 0):
-            raise BadParameter("Cobb-Douglas valuation needs a positive exponent")
+        e = self.exponents = _weight_vector(exponents, self.kind)
         c = float(scale)
         if not np.isfinite(c) or c <= 0:
-            raise BadParameter("scale must be positive and finite")
+            raise BadParameter(f"{self.kind} scale must be positive and finite")
         super().__init__(e.shape[0], float(e.sum()))
-        self.exponents = e
-        self.exponents.flags.writeable = False
         self.scale = c
         self._active = e > 0
         self._check_homogeneity()
 
     @classmethod
     def _stack(cls, members):
-        return (
-            np.stack([v.exponents for v in members]),
-            np.array([v.scale for v in members]),
-        )
+        return np.stack([v.exponents for v in members]), np.array([v.scale for v in members])
 
     @staticmethod
     def _values(P, X):
@@ -361,19 +297,28 @@ class CobbDouglas(Valuation):
     @staticmethod
     def _partials(P, X):
         # at a zero active coordinate v vanishes on that slice: partials along
-        # goods with x_j > 0 are zero and those at the zero coordinates diverge
-        E = P[0]
+        # goods with x_j > 0 are zero and those at the zero coordinates
+        # diverge.  v is linear along a unit exponent j, with the finite
+        # slope c * prod_{k != j} x_k**e_k.
+        E, c = P
         zero = (E > 0.0) & (X == 0.0)
         smooth = (E > 0.0) & ~zero.any(axis=1, keepdims=True)
         V = CobbDouglas._values(P, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             G = np.where(smooth, E * V[:, None] / X, 0.0)
-        G[zero] = np.inf
-        return G, ~zero
+        unit = E == 1.0
+        if unit.any():
+            slope = c * np.prod(np.where(unit, 1.0, X**E), axis=1)
+            G = np.where(unit, slope[:, None], G)
+        div = zero & (E < 1.0)
+        G[div] = np.inf
+        return G, ~div
 
     @staticmethod
     def _hessians(P, X):
-        # v * (e e^T - diag e) / (x x^T) on the active goods
+        # v * (e e^T - diag e) / (x x^T) on the active goods.  A unit exponent
+        # j's row and column are e_k g_j / x_k off the diagonal (inf at
+        # x_k = 0, where g_k diverges) and 0 on it.
         E = P[0]
         m = E.shape[1]
         active = E > 0.0
@@ -383,7 +328,16 @@ class CobbDouglas(Valuation):
         EE[:, diag, diag] -= E
         with np.errstate(divide="ignore", invalid="ignore"):
             H = V[:, None, None] * EE / (X[:, :, None] * X[:, None, :])
-        return np.where(active[:, :, None] & active[:, None, :], H, 0.0)
+        H = np.where(active[:, :, None] & active[:, None, :], H, 0.0)
+        unit = E == 1.0
+        if unit.any():
+            g = np.where(unit, CobbDouglas._partials(P, X)[0], 0.0).sum(axis=1)[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                R = np.where(X > 0.0, E * g / X, np.inf)
+            R = np.where(active & ~unit, R, 0.0)
+            H = np.where(unit[:, :, None], R[:, None, :], H)
+            H = np.where(unit[:, None, :], R[:, :, None], H)
+        return H
 
     def values_batch(self, X):
         sel = self._active
@@ -393,7 +347,7 @@ class CobbDouglas(Valuation):
         return self._active.copy()
 
     def divergent_at_zero(self):
-        return self._active.copy()
+        return self._active & (self.exponents < 1.0)
 
     def _value_per_cost(self, q):
         # the optimum spends the share e_j / r of the budget on good j
@@ -409,25 +363,41 @@ class CobbDouglas(Valuation):
         }
 
 
+class Power(CobbDouglas):
+    """v(x) = w * x**r on a single good, w > 0, r in (0, 1].
+
+    The Cobb-Douglas form with the one exponent r and scale w.  A degree
+    within DEGREE_TOL of 1 is taken as exactly 1, exponent included, so the
+    form is then linear and its partial at x = 0 is w.
+    """
+
+    kind = "power"
+
+    def __init__(self, weight, degree):
+        r = float(degree)
+        if not r > 0.0:
+            raise BadParameter(f"degree must lie in (0, 1], got {degree}")
+        super().__init__([1.0 if abs(r - 1.0) <= DEGREE_TOL else r], weight)
+
+    @property
+    def weight(self) -> float:
+        return self.scale
+
+    def to_json(self):
+        return {"kind": self.kind, "weights": [self.weight], "degree": self.degree}
+
+
 class CesForm(Valuation):
     """v(x) = (sum_j w_j * x_j**sigma)**(degree/sigma), sigma in (0, 1]."""
 
     kind = "ces"
 
     def __init__(self, weights, sigma, degree):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.ndim != 1:
-            raise DimensionMismatch("weights must be a vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise BadParameter("weights must be finite and nonnegative")
-        if not np.any(w > 0):
-            raise BadParameter("CES valuation needs a positive weight")
+        self.weights = _weight_vector(weights, self.kind)
         s = float(sigma)
         if not (0.0 < s <= 1.0):
             raise BadParameter(f"sigma must lie in (0, 1], got {sigma}")
-        super().__init__(w.shape[0], degree)
-        self.weights = w
-        self.weights.flags.writeable = False
+        super().__init__(self.weights.shape[0], degree)
         self.sigma = s
         self._check_homogeneity()
 
@@ -498,9 +468,7 @@ class CesForm(Valuation):
         return self.weights > 0
 
     def divergent_at_zero(self):
-        if self.sigma < 1.0:
-            return self.weights > 0
-        return np.zeros(self.m, dtype=bool)
+        return (self.weights > 0) & (self.sigma < 1.0)
 
     def _value_per_cost(self, q):
         # the degree-1 form's best value u at unit cost, raised to the degree
@@ -527,16 +495,8 @@ class Leontief(Valuation):
     kind = "leontief"
 
     def __init__(self, weights):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if w.ndim != 1:
-            raise DimensionMismatch("weights must be a vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise BadParameter("weights must be finite and nonnegative")
-        if not np.any(w > 0):
-            raise BadParameter("Leontief valuation needs a positive weight")
-        super().__init__(w.shape[0], 1.0)
-        self.weights = w
-        self.weights.flags.writeable = False
+        self.weights = _weight_vector(weights, self.kind)
+        super().__init__(self.weights.shape[0], 1.0)
         self._check_homogeneity()
 
     @classmethod
@@ -569,8 +529,8 @@ class Leontief(Valuation):
 class ValuationStack:
     """A market's valuations grouped for agent-stacked evaluation.
 
-    Agents whose parameters stack (one kind and degree, and for CES one
-    sigma) form a group.  Each method evaluates every group with its kind's
+    Agents whose parameters stack (one kind, and for CES one sigma and
+    degree) form a group.  Each method evaluates every group with its kind's
     kernel on the group's rows of an (n, m) allocation and scatters the
     results back into agent order.  No validation, and no per-agent Python
     work: build it once and evaluate it many times.  The per-agent facts

@@ -20,12 +20,14 @@ from cesmarket import (
     grid_oracle,
     make_pricing_rule,
     solve_ces,
+    swe_check,
     to_fisher,
     we_certificate,
     weighted_shift_certificate,
 )
 
-from cesmarket.solver import kkt_residual
+from cesmarket import pricing, solver, sybil
+from cesmarket.solver import as_allocation, kkt_residual
 
 from conftest import random_instance, water_instance
 
@@ -303,6 +305,57 @@ def test_to_fisher_random_instances(rng):
             [rule.price(res.allocation[i]) for i in range(inst.n)],
             atol=1e-10,
         )
+
+
+def test_idle_unit_exponent_agent_needs_no_waiver():
+    # v_0 = 2 x_0 is linear: its partial at the idle agent's zero holding is
+    # 2 <= q_0 = 3, a plain coordinate check
+    inst = Instance((CobbDouglas([1.0, 0.0], 2.0), Linear([3.0, 1.0])), 1.0)
+    res = solve_ces(inst)
+    np.testing.assert_allclose(res.allocation, [[0.0, 0.0], [1.0, 1.0]], atol=1e-8)
+    cert = we_certificate(inst, res.allocation, equilibrium_rule(inst, res.allocation))
+    assert cert.passed
+    assert cert.waived == ()
+
+
+@pytest.mark.parametrize(
+    "check, validations",
+    [
+        (lambda inst, X, rule: to_fisher(inst, X, rule), 1),
+        (lambda inst, X, rule: swe_check(inst, X, rule, 0.1), 1),
+        (lambda inst, X, rule: weighted_shift_certificate(inst, X), 2),
+    ],
+    ids=["to_fisher", "swe_check", "weighted_shift_certificate"],
+)
+def test_checks_validate_the_allocation_once(monkeypatch, check, validations):
+    # weighted_shift_certificate validates in extract_multipliers too
+    inst = water_instance(0.5)
+    rule = make_pricing_rule([Q_WATER], 0.5, 1.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return as_allocation(*args)
+
+    for module in (solver, pricing, sybil):
+        if hasattr(module, "as_allocation"):
+            monkeypatch.setattr(module, "as_allocation", counted)
+    check(inst, X_WATER, rule)
+    assert len(calls) == validations
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, X, rule: to_fisher(inst, X, rule),
+        lambda inst, X, rule: swe_check(inst, X, rule, 0.1),
+    ],
+    ids=["to_fisher", "swe_check"],
+)
+def test_checks_gate_on_one_certificate_message(check):
+    rule = make_pricing_rule([Q_WATER], 0.5, 1.0)
+    with pytest.raises(NotEquilibrium, match="^certificate residual .* exceeds tolerance"):
+        check(water_instance(0.5), np.full((3, 1), 1 / 3), rule)
 
 
 # -- weighted shift ----------------------------------------------------------------------

@@ -94,6 +94,60 @@ def test_power_gradient():
     assert Power(3.0, 1.0).gradient([0.0])[0] == 3.0
 
 
+@pytest.mark.parametrize("x0", [0.0, 0.4])
+@pytest.mark.parametrize("exponents", [[1.0], [1.0, 0.0]], ids=["m1", "m2"])
+def test_unit_exponent_cobb_douglas_is_linear(exponents, x0):
+    # v = 2 x_0: the partial along good 0 is 2, finite at x_0 = 0 too
+    cd, lin = CobbDouglas(exponents, 2.0), Linear([2.0, 0.0][: len(exponents)])
+    x = [x0, 0.7][: cd.m]
+    assert cd.value(x) == lin.value(x)
+    for got, want in zip(cd.partials(x), lin.partials(x)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(cd.gradient(x), lin.gradient(x))
+    np.testing.assert_array_equal(cd.hessian(x), lin.hessian(x))
+    np.testing.assert_array_equal(cd.divergent_at_zero(), lin.divergent_at_zero())
+
+
+def test_unit_exponent_hessian_row_and_column_at_zero():
+    # a second exponent of at most DEGREE_TOL: v = x_0 * x_1**e, whose mixed
+    # partial e * x_1**(e-1) is finite at x_0 = 0
+    e = 1e-10
+    H = CobbDouglas([1.0, e]).hessian([0.0, 0.5])
+    assert np.isfinite(H).all()
+    np.testing.assert_array_equal(H, H.T)
+    assert H[0, 0] == 0.0
+    assert H[0, 1] == pytest.approx(e * 0.5 ** (e - 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 1.0, np.nextafter(1.0, 0.0)])
+def test_power_matches_its_analytic_forms(r):
+    w = 2.5
+    v = Power(w, r)
+    assert isinstance(v, CobbDouglas)
+    r = v.degree  # one ulp below 1 is 1
+    for x in (0.0, 1e-3, 0.37, 1.0, 2.0):
+        assert v.value([x]) == pytest.approx(w * x**r, rel=1e-14, abs=0.0)
+        g, ok = v.partials([x])
+        H = v.hessian([x])
+        if x == 0.0 and r < 1.0:
+            assert not ok[0] and g[0] == np.inf and not np.isfinite(H[0, 0])
+            continue
+        assert ok[0]
+        assert g[0] == pytest.approx(w * r * x ** (r - 1.0), rel=1e-14, abs=0.0)
+        want = w * r * (r - 1.0) * x ** (r - 2.0) if r < 1.0 else 0.0
+        assert H[0, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_power_json_form_and_weight():
+    v = Power(1.5, 0.5)
+    assert v.to_json() == {"kind": "power", "weights": [1.5], "degree": 0.5}
+    again = from_json(v.to_json())
+    assert type(again) is Power and again.to_json() == v.to_json()
+    assert (v.weight, v.degree, v.scale) == (1.5, 0.5, 1.5)
+    with pytest.raises(AttributeError):
+        v.weight = 2.0
+
+
 def test_cobb_douglas_boundary_gradient():
     v = CobbDouglas([0.5, 0.5])
     with pytest.raises(BoundaryGradient):
@@ -335,6 +389,18 @@ def test_constructor_rejections():
         CesForm([1.0, 1.0], 0.5, 0.0)
     with pytest.raises(BadParameter):
         Leontief([0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Linear, Leontief, CobbDouglas, lambda w: CesForm(w, 0.5, 1.0)],
+    ids=["linear", "leontief", "cobb-douglas", "ces"],
+)
+def test_constructors_keep_their_own_weight_vector(make):
+    w = np.array([0.5, 0.5])
+    v = make(w)
+    w[0] = 0.0  # the caller's array stays writable
+    assert v.to_json()["weights"] == [0.5, 0.5]
 
 
 def test_degree_one_ulp_past_one_is_one():
