@@ -4,9 +4,9 @@ The central program: maximize (1/rho) * sum_i v_i(x_i)**rho over allocations
 x >= 0 with sum_i x_ij <= 1 per good.  Main entry points:
 
   - closed_form_single_good: the one-good optimum in closed form
-  - solve_ces: the smooth program; its Newton steps use the exact Jacobian
-    of the first-order system, assembled from the valuations' analytic
-    Hessians
+  - solve_ces: the smooth program; its Newton steps solve the exact
+    Jacobian of the first-order system, built from the valuations' analytic
+    Hessians, agent by agent
   - extract_multipliers: per-good multipliers read off holder gradients
   - grid_oracle: brute-force simplex-grid enumeration for small instances
   - solve_leontief: the min-ratio (Leontief) program in attained levels,
@@ -20,29 +20,34 @@ unit-linear agents over their levels alpha_i, with A = W.  Both run
 through one driver, _solve_smooth: _check_budget, then attempts at
 growing search budgets (100, 400, ..., max_iters), each an ellipsoid
 search (_ellipsoid_phase) and one active-set Newton polish (_kkt_refine,
-whose equality solves go through _newton_residual, _newton_jacobian and
+whose equality solves go through _newton_residual, _newton_step and
 _damped_newton), stopping at the first attempt that kkt_residual, the
 one first-order residual of the packing program, certifies.  The search
 thus runs only as long as the polish needs.  Every first-order check goes
 through one kernel, _scaled_marginals: a point is supported by the convex
 price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
-its price.  Its derivative, _marginal_jacobian, supplies the Newton steps.
-Both, and the search objective, evaluate all agents at once through one
-ValuationStack per market (an Instance builds its stack once), which also
-holds the per-agent facts the refine and the residual read.  The
-residual, _stationarity_residual, takes its caller's stack: the
-certificate passes the instance's, and the public kkt_residual builds
-one.  Only the refine's gradient query (G0) and the waiver's best value
-at unit cost (_value_per_cost in valuations.py, which the Fisher check
-also reads) ask each agent.
+its price.  Its derivative, _marginal_jacobian, is block diagonal by
+agent, so _newton_step eliminates the agents' blocks one by one and
+solves the Schur system on the priced constraints; it falls back to dense
+least squares on _newton_jacobian where a block is singular or a support
+coordinate sits at the floor.  _newton_step holds the package's only
+linear solves.  The kernel, its derivative and the search objective
+evaluate all agents at once through one ValuationStack per market (an
+Instance builds its stack once), which also holds the per-agent facts the
+refine and the residual read.  The residual, _stationarity_residual,
+takes its caller's stack: the certificate passes the instance's, the
+driver passes its own through kkt_residual, and the public kkt_residual
+builds one when handed valuations.  Only the refine's gradient query (G0)
+and the waiver's best value at unit cost (_value_per_cost in
+valuations.py, which the Fisher check also reads) ask each agent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -299,16 +304,19 @@ def _supply_rows(n, m):
 def kkt_residual(vals, rho, X, q, A=None):
     """Max first-order violation of the packing program at (X, q).
 
-    `rho` is the exponent of the program (0 for the log program).  X holds
-    the stack's (n, k) variables, packed by the (n k, m) matrix A (default
-    _supply_rows, k = m) and priced at A q.  Held variables must price
-    exactly and unheld ones must not be profitable, under the waiver rule
-    of _stationarity_residual; q must be nonnegative, no constraint may be
-    oversubscribed, and constraints with q_j > 0 must be tight.
+    `vals` is the agents' valuations, or their ValuationStack, which is
+    used as given.  `rho` is the exponent of the program (0 for the log
+    program).  X holds the stack's (n, k) variables, packed by the (n k, m)
+    matrix A (default _supply_rows, k = m) and priced at A q.  Held
+    variables must price exactly and unheld ones must not be profitable,
+    under the waiver rule of _stationarity_residual; q must be nonnegative,
+    no constraint may be oversubscribed, and constraints with q_j > 0 must
+    be tight.
     """
     n, k = X.shape
     A = _supply_rows(n, k) if A is None else A
-    res, _ = _stationarity_residual(ValuationStack(vals), X, (A @ q).reshape(n, k), rho)
+    stack = vals if isinstance(vals, ValuationStack) else ValuationStack(vals)
+    res, _ = _stationarity_residual(stack, X, (A @ q).reshape(n, k), rho)
     if np.any(q < 0):
         res = max(res, float(-q.min()))
     usage = _bundles(X, A).sum(axis=0)
@@ -396,34 +404,84 @@ def _newton_residual(stack, A, e, support, pr, z):
     )
 
 
-def _newton_jacobian(stack, A, e, support, pr, z):
+def _newton_jacobian(stack, A, e, support, pr, z, B=None):
     """Exact Jacobian of _newton_residual at z.
 
-    The x-block is block diagonal by agent, from _marginal_jacobian; q
-    enters with -A and usage with +A^T, restricted to the support and pr.
-    A coordinate below the floor does not move the floored point, so its
-    column is zero.
+    The x-block is block diagonal by agent, from _marginal_jacobian (or the
+    caller's B, its value at z); q enters with -A and usage with +A^T,
+    restricted to the support and pr.  A coordinate below the floor does
+    not move the floored point, so its column is zero.
     """
-    n_x = int(support.sum())
-    rows, cols = np.nonzero(support)      # the order of X[support]
+    n_x = z.size - pr.size
+    rows, cols = support.nonzero()        # the order of X[support]
     coupling = A[:, pr][support.ravel()]
-    B = _marginal_jacobian(stack, _support_point(support, z), e)
+    if B is None:
+        B = _marginal_jacobian(stack, _support_point(support, z), e)
     J = np.zeros((n_x + pr.size, n_x + pr.size))
     J[:n_x, :n_x] = np.where(
         rows[:, None] == rows[None, :], B[rows[:, None], cols[:, None], cols], 0.0
     )
     J[:n_x, n_x:] = -coupling
     J[n_x:, :n_x] = coupling.T
-    J[:, np.flatnonzero(z[:n_x] < _NEWTON_FLOOR)] = 0.0
+    J[:, :n_x][:, z[:n_x] < _NEWTON_FLOOR] = 0.0
     return J
 
 
-def _damped_newton(F, J, z, n_pos):
-    """Damped least-squares Newton on F(z) = 0, keeping z[:n_pos] nonnegative.
+def _newton_step(stack, A, e, support, pr, z, Fz, dense):
+    """The Newton step dz of J(z) dz = -F(z), eliminated agent by agent.
 
-    Each step solves J(z) dz = -F(z) in least squares, is cut where the
-    first n_pos unknowns reach zero, and is halved up to 14 times until the
-    residual norm falls by the Armijo factor.  Stops once max |F| <=
+    J is [[B, -C], [C^T, 0]] with B block diagonal by agent and C the
+    support's rows of A on the priced constraints pr.  Each agent's block,
+    padded to k x k with identity off its support, is solved against
+    [-F_x | C_i] in one batched solve; the |pr| x |pr| Schur system
+    sum_i C_i^T B_i^-1 C_i dq = -F_q - sum_i C_i^T B_i^-1 (-F_x,i) gives dq,
+    and dx_i = B_i^-1 (-F_x,i + C_i dq).  The step falls back to dense
+    least squares on _newton_jacobian when `dense` is set, when a support
+    coordinate sits below the floor (its column of J is zero), or when the
+    blocks or the Schur system are singular, non-finite or leave J dz + F
+    above 1e-9 max(1, max |F|).  Returns (dz, whether it fell back).
+    """
+    n_x = z.size - pr.size
+    B = _marginal_jacobian(stack, _support_point(support, z), e)
+    if not dense and z[:n_x].min(initial=_NEWTON_FLOOR) >= _NEWTON_FLOOR:
+        n, k = support.shape
+        Bp = np.where(support[:, :, None] & support[:, None, :], B, 0.0)
+        off, j = (~support).nonzero()
+        Bp[off, j, j] = 1.0
+        R = np.zeros((n, k, 1 + pr.size))      # [-F_x | C], zero off the support
+        R[:, :, 1:] = A.reshape(n, k, -1)[:, :, pr] * support[:, :, None]
+        R[support, 0] = -Fz[:n_x]
+        C = R[:, :, 1:].reshape(n * k, -1)
+        try:
+            with np.errstate(all="ignore"):
+                Y = np.linalg.solve(Bp, R)
+                u, W = Y[:, :, 0], Y[:, :, 1:]
+                dq = np.linalg.solve(
+                    C.T @ W.reshape(n * k, -1), -Fz[n_x:] - C.T @ u.ravel()
+                )
+                dx = u + W @ dq
+                r = np.concatenate([
+                    ((Bp @ dx[:, :, None])[:, :, 0] - R[:, :, 0]).ravel() - C @ dq,
+                    C.T @ dx.ravel() + Fz[n_x:],
+                ])
+            # a NaN residual fails the test too
+            if np.abs(r).max() <= 1e-9 * max(1.0, float(np.abs(Fz).max())):
+                return np.concatenate([dx[support], dq]), False
+        except np.linalg.LinAlgError:
+            pass
+    J = _newton_jacobian(stack, A, e, support, pr, z, B)
+    return np.linalg.lstsq(J, -Fz, rcond=None)[0], True
+
+
+def _damped_newton(F, step, z, n_pos):
+    """Damped Newton on F(z) = 0, keeping z[:n_pos] nonnegative.
+
+    Each step dz solves J(z) dz = -F(z), as (dz, fell_back) =
+    step(z, F(z), fell_back): every call gets the flag the previous one
+    returned (False at first), so a step that fell back to a slower solve
+    can keep later steps on it.  The step is cut where the first n_pos
+    unknowns reach zero, and is halved up to 14 times until the residual
+    norm falls by the Armijo factor.  Stops once max |F| <=
     _NEWTON_RTOL * max(1, max |z[n_pos:]|) at the start, after
     _NEWTON_STEPS steps, or when no step is accepted.  Returns (z, steps).
 
@@ -435,11 +493,12 @@ def _damped_newton(F, J, z, n_pos):
     target = _NEWTON_RTOL * max(1.0, float(np.abs(z[n_pos:]).max(initial=0.0)))
     Fz = F(z)
     steps = 0
+    fell_back = False
     for _ in range(_NEWTON_STEPS):
         steps += 1
         if np.abs(Fz).max() <= target:
             break
-        dz, *_ = np.linalg.lstsq(J(z), -Fz, rcond=None)
+        dz, fell_back = step(z, Fz, fell_back)
         dx = dz[:n_pos]
         shrink = dx < 0
         t = 1.0
@@ -466,7 +525,9 @@ def _newton_system(stack, A, e, support, priced, X_init):
     = 1 on every priced constraint.  Each multiplier starts at the mean,
     over the agents whose bundle uses its constraint, of the agent's
     marginal per unit of that use (1 if no agent uses it); _damped_newton
-    then steps with the exact Jacobian of the residual (_newton_jacobian).
+    then takes _newton_step's steps.  Once a step has fallen back to dense
+    least squares, the rest of the solve stays dense: a floored coordinate
+    stays at the floor, and a singular block mostly stays singular.
     """
     n, k = support.shape
     pr = np.flatnonzero(priced)
@@ -483,7 +544,7 @@ def _newton_system(stack, A, e, support, priced, X_init):
     qs0 = _holder_mean(per_unit, _bundles(X, A), empty=1.0)[pr]
     z, its = _damped_newton(
         lambda zz: _newton_residual(stack, A, e, support, pr, zz),
-        lambda zz: _newton_jacobian(stack, A, e, support, pr, zz),
+        partial(_newton_step, stack, A, e, support, pr),
         np.concatenate([xs0, qs0]),
         n_x,
     )
@@ -644,7 +705,7 @@ def _solve_smooth(stack, e, *, tolerance, max_iters, A=None):
         X0, searched = _ellipsoid_phase(stack, A, e, tolerance, budget)
         X, q, polished = _kkt_refine(stack, A, e, X0)
         iters += searched + polished
-        residual = kkt_residual(stack.valuations, e, X, q, A)
+        residual = kkt_residual(stack, e, X, q, A)
         if residual <= tolerance or searched < budget or budget == max_iters:
             return X, q, iters, residual
         budget = min(4 * budget, max_iters)

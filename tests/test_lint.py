@@ -111,3 +111,58 @@ def test_private_checker_flags_unread_names():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+SOLVES = ("solve", "lstsq")
+
+
+def stray_solves(sources: dict[str, str]) -> list[str]:
+    """Uses of np.linalg.solve or np.linalg.lstsq outside _newton_step.
+
+    `sources` maps module names to their source.  A use is any read of the
+    attribute `solve` or `lstsq` on a name or attribute called `linalg`;
+    one anywhere inside a function named _newton_step, nested functions
+    included, is allowed, since that is the package's one linear solve.
+    """
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_newton_step"
+            for inner in ast.walk(node)
+        }
+        uses = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in SOLVES
+            and "linalg" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
+            and id(node) not in allowed
+        ]
+        found += [
+            f"{module}:{node.lineno}: linalg.{node.attr}"
+            for node in sorted(uses, key=lambda node: node.lineno)
+        ]
+    return found
+
+
+def test_solve_checker_flags_solves_outside_the_step():
+    sources = {
+        "a": (
+            "import numpy as np\ndef _newton_step(B, r):\n    def inner():\n"
+            "        return np.linalg.lstsq(B, r)\n    return np.linalg.solve(B, r), inner\n"
+        ),
+        "b": (
+            "import numpy as np\nfrom numpy import linalg\ndef f(B, r):\n"
+            "    return np.linalg.solve(B, r)\nsolve = linalg.lstsq\n"
+            "rank = np.linalg.matrix_rank\n"
+        ),
+    }
+    assert stray_solves(sources) == ["b:4: linalg.solve", "b:5: linalg.lstsq"]
+
+
+def test_every_linear_solve_is_the_newton_step():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert stray_solves(sources) == []

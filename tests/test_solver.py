@@ -1,5 +1,6 @@
 """Allocation solvers: closed form, ellipsoid, grid oracle, Leontief."""
 
+import contextlib
 import itertools
 import warnings
 from types import SimpleNamespace
@@ -40,6 +41,7 @@ from cesmarket.solver import (
     _kkt_refine,
     _newton_jacobian,
     _newton_residual,
+    _newton_step,
     _supply_rows,
     as_allocation,
     kkt_residual,
@@ -296,8 +298,13 @@ def _full_search_then_refine(stack, e, max_iters, A=None):
 
 @pytest.mark.parametrize(
     "n, make",
-    [(8, lambda w: CesForm(w, 0.5, 1.0)), (12, lambda w: CesForm(w, 0.5, 1.0)), (8, Linear)],
-    ids=["8x8-ces", "12x12-ces", "8x8-linear"],
+    [
+        (8, lambda w: CesForm(w, 0.5, 1.0)),
+        (12, lambda w: CesForm(w, 0.5, 1.0)),
+        (8, Linear),
+        (20, lambda w: CesForm(w, 0.5, 1.0)),
+    ],
+    ids=["8x8-ces", "12x12-ces", "8x8-linear", "20x20-ces"],
 )
 def test_large_markets_certify(n, make):
     # a full 100000-iteration search took 35 s (8x8) and 72 s (12x12) on the
@@ -305,6 +312,23 @@ def test_large_markets_certify(n, make):
     w = np.random.default_rng(0).uniform(0.3, 3.0, (n, n))
     res = solve_ces(Instance(tuple(make(row) for row in w), 0.5))
     assert res.max_kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n, rho, sigma, max_iters",
+    [(8, 0.5, 0.5, 100_000), (12, 0.5, 0.5, 100_000), (20, 0.5, 0.5, 100_000)]
+    # the benchmark's refine markets: a short search, the refine does the work
+    + [(8, 0.25, 0.5, 300), (10, 0.5, 0.3, 300), (12, 0.75, 0.7, 300)],
+    ids=["8x8", "12x12", "20x20", "refine-8x8", "refine-10x10", "refine-12x12"],
+)
+def test_strictly_concave_markets_take_no_dense_step(n, rho, sigma, max_iters, lstsq_calls):
+    # every block of these markets is negative definite and no coordinate
+    # reaches the floor, so every Newton step is the agent-block one
+    w = np.random.default_rng(0).uniform(0.3, 3.0, (n, n))
+    inst = Instance(tuple(CesForm(row, sigma, 1.0) for row in w), rho)
+    res = solve_ces(inst, max_iters=max_iters)
+    assert res.max_kkt_residual <= 1e-8
+    assert lstsq_calls == []
 
 
 def test_fall_through_matches_full_search():
@@ -411,6 +435,123 @@ def test_newton_jacobian_matches_finite_differences(e, market):
         fd[:, k] = (F_plus - F_minus) / (2 * dz[k])
     assert not J[:, floored].any()
     np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-5)
+
+
+# Newton points for the block step: goods (or, in the level market,
+# constraints) 0 and 2 priced, no coordinate at the floor.  Agent 2 of the
+# degree-0.7 market is (0.8 x_0 + 1.5 x_1)**0.7, whose block is rank one on
+# both goods, so it holds one of them.
+BLOCK_SUPPORTS = {
+    "ces-cd-0.7": [[0, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 1]],
+    "linear-ces-cd-1": [[0, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 1]],
+    "level": [[1], [0], [1], [1]],
+}
+
+
+def _newton_point(market, e):
+    rng = np.random.default_rng(5)
+    support = np.array(BLOCK_SUPPORTS[market], dtype=bool)
+    A = rng.uniform(0.3, 2.0, (4, 3)) if market == "level" else np.tile(np.eye(3), (4, 1))
+    z = np.concatenate([rng.uniform(0.1, 0.6, int(support.sum())), [0.7, 1.3]])
+    return ValuationStack(NEWTON_MARKETS[market]), A, e, support, np.array([0, 2]), z
+
+
+def _dense_step(stack, A, e, support, pr, z):
+    F = _newton_residual(stack, A, e, support, pr, z)
+    J = _newton_jacobian(stack, A, e, support, pr, z)
+    return np.linalg.lstsq(J, -F, rcond=None)[0]
+
+
+@contextlib.contextmanager
+def _counted_lstsq():
+    """The shapes of the matrices np.linalg.lstsq is called on in the block."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lstsq(a, *args, **kwargs)
+
+    np.linalg.lstsq = counting
+    try:
+        yield calls
+    finally:
+        np.linalg.lstsq = lstsq
+
+
+@pytest.fixture
+def lstsq_calls():
+    with _counted_lstsq() as calls:
+        yield calls
+
+
+def _assert_block_step_is_dense_step(case, lstsq_calls):
+    F = _newton_residual(*case)
+    dz, dense = _newton_step(*case, F, False)
+    assert not dense and lstsq_calls == []
+    ref = _dense_step(*case)
+    assert np.abs(dz - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "market, e",
+    [("ces-cd-0.7", 0.5), ("ces-cd-0.7", 0.0), ("level", 0.25)],
+    ids=["0.5", "0.0", "0.25-level"],
+)
+def test_block_step_matches_dense_step(market, e, lstsq_calls):
+    _assert_block_step_is_dense_step(_newton_point(market, e), lstsq_calls)
+
+
+@pytest.mark.parametrize(
+    "market, e, floored, dense",
+    [
+        ("ces-cd-0.7", 0.5, True, False),       # a zero column in J
+        ("linear-ces-cd-1", 1.0, False, False),  # the linear agent's block is 0
+        ("ces-cd-0.7", 0.5, False, True),       # an earlier step fell back
+    ],
+    ids=["floored", "linear-1", "sticky"],
+)
+def test_block_step_falls_back_to_least_squares(market, e, floored, dense, lstsq_calls):
+    case = _newton_point(market, e)
+    if floored:
+        case[-1][0] = 0.0
+    dz, fell_back = _newton_step(*case, _newton_residual(*case), dense)
+    assert fell_back and len(lstsq_calls) == 1
+    np.testing.assert_array_equal(dz, _dense_step(*case))
+
+
+@st.composite
+def strictly_concave_newton_points(draw):
+    """A Newton point of a CES market with sigma < 1 at e < 1: every block is
+    negative definite, and every priced good has a support coordinate."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    e = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+    degree = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    vals = tuple(
+        CesForm(
+            draw(st.lists(st.floats(0.3, 3.0), min_size=m, max_size=m)),
+            draw(st.sampled_from([0.3, 0.5, 0.7])),
+            degree,
+        )
+        for _ in range(n)
+    )
+    flags = st.lists(st.booleans(), min_size=n * m, max_size=n * m)
+    support = np.array(draw(flags)).reshape(n, m)
+    support[0, 0] = True
+    held = np.flatnonzero(support.any(axis=0))
+    pr = held[draw(st.lists(st.booleans(), min_size=held.size, max_size=held.size))]
+    n_x = int(support.sum())
+    z = draw(st.lists(st.floats(0.05, 0.6), min_size=n_x, max_size=n_x))
+    z += draw(st.lists(st.floats(0.3, 2.0), min_size=pr.size, max_size=pr.size))
+    return ValuationStack(vals), _supply_rows(n, m), e, support, pr, np.array(z)
+
+
+@settings(max_examples=100)
+@given(strictly_concave_newton_points())
+def test_block_step_matches_dense_step_property(case):
+    with _counted_lstsq() as calls:
+        _assert_block_step_is_dense_step(case, calls)
 
 
 def test_kkt_residual_flags_suboptimal_points():
