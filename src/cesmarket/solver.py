@@ -820,17 +820,20 @@ def grid_oracle(
     `max_points` candidates.  Deterministic: first best candidate wins, in
     the lexicographic order of the goods' splits.
 
-    The K splits of one good are enumerated once.  A grid point is the
-    (m,) vector C of its goods' split indices, and agent i's bundle at it is
-    share_i[C], share_i being agent i's share in every split.  Points are
-    scored in lexicographic order, in blocks of at most _ORACLE_CHUNK: the
-    trailing s goods, s < m the most with K**s <= _ORACLE_CHUNK, are
-    enumerated once, and a block repeats them under a run of splits of
-    good m - s - 1, the goods before it fixed; a grid of at most
-    _ORACLE_CHUNK points is one block.  Scoring is agent-major: each
-    agent's (points, m) bundles are one gather from its share row, scored
-    by its values_batch.  A block holds its (m, points) split indices, one
-    agent's bundles and the objective at a time.
+    The K splits of one good are enumerated once.  Points are scored in
+    lexicographic order, in blocks of at most _ORACLE_CHUNK: the trailing s
+    goods, s < m the most with K**s <= _ORACLE_CHUNK, are enumerated once,
+    and a block repeats them under a run of splits of good m - s - 1, the
+    goods before it fixed; a grid of at most _ORACLE_CHUNK points is one
+    block.  An agent's bundle depends only on its own unit counts, of which
+    it can hold L = resolution + 1 per good (1 when n = 1).  So in each
+    block, one values_batch call scores an agent's table: its fixed counts
+    of the head goods, each distinct count it holds in the run, and all L**s
+    count vectors of the trailing goods.  A point gathers each agent's
+    entry by the agent's run count and trail code, the codes built once per
+    call; when L == K (n <= 2) the table is the block itself and needs no
+    gather.  A table has at most as many rows as its block has points, and
+    far fewer once n >= 3.
     """
     if resolution < 1:
         raise BadParameter("resolution must be at least 1")
@@ -839,28 +842,51 @@ def grid_oracle(
     K = math.comb(resolution + n - 1, n - 1)
     if K**m > max_points:
         raise TooLarge(f"{K}**{m} = {K**m} grid points exceed the {max_points} budget")
-    shares = _compositions(resolution, n).T / resolution    # (n, K), rows contiguous
+    units = _compositions(resolution, n).T                  # (n, K), rows contiguous
+    frac = np.arange(resolution + 1) / resolution           # each unit count's share
     s = max(t for t in range(m) if K**t <= _ORACLE_CHUNK)
     head = m - s - 1                                        # goods fixed per block
-    trail = np.indices((K,) * s).reshape(s, K**s)
     step = min(K, _ORACLE_CHUNK // K**s)
+    # Rank each agent's unit counts in the order they first appear among the
+    # splits, which come in lexicographic order: counting up from 0, the last
+    # agent's counting down from resolution.  An agent that holds a distinct
+    # count at every split (L == K, so n <= 2) then has rank k at split k.
+    L = resolution + 1 if n > 1 else 1
+    agents = []
+    for i, a in enumerate(units):
+        last = i == n - 1
+        rank = resolution - a if last else a
+        share = frac[::-1] if last else frac                # of each rank
+        code = np.zeros(1, dtype=np.int64)
+        for _ in range(s):
+            code = (code[:, None] * L + rank).ravel()
+        lattice = share[np.indices((L,) * s).reshape(s, L**s)]
+        agents.append((rank, share, code, lattice))
     best_obj = -np.inf
     for fixed in np.ndindex((K,) * head):
         for start in range(0, K, step):
-            run = np.arange(start, min(start + step, K))
-            C = np.empty((m, run.size, K**s), dtype=np.int64)
-            C[:head] = np.reshape(fixed, (head, 1, 1))
-            C[head] = run[:, None]
-            C[head + 1 :] = trail[:, None, :]
-            C = C.reshape(m, -1)
-            obj = np.zeros(C.shape[1])
-            for share, v in zip(shares, instance.valuations):
-                obj += v.values_batch(share[C].T) ** rho
-            obj = obj / rho
+            run = slice(start, min(start + step, K))
+            obj = 0.0
+            for (rank, share, code, lattice), v in zip(agents, instance.valuations):
+                ranks = rank[run]
+                seen = np.zeros(L, dtype=bool)
+                seen[ranks] = True
+                distinct = np.flatnonzero(seen)
+                B = np.empty((m, distinct.size, L**s))
+                B[:head] = share[rank[list(fixed)]][:, None, None]
+                B[head] = share[distinct][:, None]
+                B[head + 1 :] = lattice[:, None, :]
+                table = v.values_batch(B.reshape(m, -1).T) ** rho
+                table = table.reshape(distinct.size, L**s)
+                if L < K:
+                    table = table[:, code][(np.cumsum(seen) - 1)[ranks]]
+                obj += table
+            obj = obj.ravel() / rho
             k = int(np.argmax(obj))
             if obj[k] > best_obj:
                 best_obj = float(obj[k])
-                best = shares[:, C[:, k]]
+                j, t = divmod(k, K**s)
+                best = frac[units[:, [*fixed, start + j, *np.unravel_index(t, (K,) * s)]]]
     return best
 
 

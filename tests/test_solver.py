@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -711,15 +712,93 @@ def test_grid_oracle_blocks_match_naive_enumeration(monkeypatch, market, chunk):
     obj = sum(v.values_batch(X[i][None]) ** inst.rho for i, v in enumerate(inst.valuations))
     assert float(obj[0] / inst.rho) == best_obj
     monkeypatch.setattr(solver, "_ORACLE_CHUNK", chunk)
+    rows = _counted_rows(monkeypatch, inst)
+    assert grid_oracle(inst, resolution).tobytes() == X.tobytes()
+    # each agent is scored once per bundle it can hold in a block, at most
+    # `chunk` rows at a time
+    assert sum(rows) == _table_rows(inst.n, inst.m, resolution, chunk)
+    assert max(rows) <= chunk
+
+
+def _counted_rows(monkeypatch, inst):
+    """The row count of each values_batch call on the instance's kinds."""
     rows = []
     for cls in {type(v) for v in inst.valuations}:
         monkeypatch.setattr(
             cls, "values_batch", lambda v, Z, f=cls.values_batch: rows.append(len(Z)) or f(v, Z)
         )
-    assert grid_oracle(inst, resolution).tobytes() == X.tobytes()
-    # every point is scored once per agent, at most `chunk` at a time
-    assert sum(rows) == inst.n * len(_naive_splits(resolution, inst.n)) ** inst.m
-    assert max(rows) <= chunk
+    return rows
+
+
+def _table_rows(n, m, resolution, chunk):
+    """Bundles the oracle values: per block and agent, the agent's distinct
+    units of the run good times every vector of units it can hold in the
+    trailing goods."""
+    splits = _naive_splits(resolution, n)
+    K = len(splits)
+    s = max(t for t in range(m) if K**t <= chunk)
+    step = min(K, chunk // K**s)
+    rows = 0
+    for i in range(n):
+        trail = len({c[i] for c in splits}) ** s
+        for start in range(0, K, step):
+            rows += len({c[i] for c in splits[start : start + step]}) * trail
+    return K ** (m - s - 1) * rows
+
+
+def test_grid_oracle_values_far_fewer_bundles_than_points(monkeypatch):
+    # the oracle benchmark's 3x2 CES shape: K = 1891 splits per good, so
+    # blocks of 138 splits of good 0 over all 1891 of good 1, 14 blocks
+    weights = ([1.0, 2.0], [2.0, 0.7], [1.2, 1.1])
+    inst = Instance(tuple(CesForm(w, 0.5, 1.0) for w in weights), 0.75)
+    rows = _counted_rows(monkeypatch, inst)
+    grid_oracle(inst, 60)
+    # at most 61 distinct units of good 0 times 61 of good 1 per agent and
+    # block; scoring every point would be 3 * 1891**2 = 10,727,643 rows
+    assert sum(rows) <= 14 * 3 * 61**2
+    # with two agents every split is a distinct bundle: one row per point
+    inst, resolution = ORACLE_MARKETS[0]
+    rows = _counted_rows(monkeypatch, inst)
+    grid_oracle(inst, resolution)
+    assert sum(rows) == 2 * 7**3
+
+
+@st.composite
+def oracle_markets(draw):
+    """A small degree-1 market with a grid of at most 600 points; its agents
+    are sometimes all one valuation, so that grid points tie exactly."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    top = max(r for r in range(1, 9) if math.comb(r + n - 1, n - 1) ** m <= 600)
+    resolution = draw(st.integers(1, top))
+    weights = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=m, max_size=m)
+
+    def valuation():
+        kind = draw(st.sampled_from(["linear", "ces", "cobb-douglas", "leontief"]))
+        w = np.array(draw(weights))
+        if kind == "linear":
+            return Linear(w)
+        if kind == "ces":
+            return CesForm(w, draw(st.sampled_from([0.4, 0.6, 1.0])), 1.0)
+        if kind == "cobb-douglas":
+            return CobbDouglas(w / w.sum())
+        return Leontief(w)
+
+    first = valuation()
+    same = draw(st.booleans())
+    vals = (first,) + tuple(first if same else valuation() for _ in range(n - 1))
+    return Instance(vals, draw(st.sampled_from([0.25, 0.5, 1.0]))), resolution
+
+
+@settings(max_examples=100)
+@given(oracle_markets(), st.sampled_from([1, 2, 7, 60, None]))
+def test_grid_oracle_matches_naive_enumeration_property(market, chunk):
+    inst, resolution = market
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(solver, "_ORACLE_CHUNK", chunk)
+        X = grid_oracle(inst, resolution)
+    assert X.tobytes() == _naive_oracle(inst, resolution)[0].tobytes()
 
 
 # -- Leontief ---------------------------------------------------------------------
