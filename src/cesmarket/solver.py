@@ -856,7 +856,7 @@ def grid_oracle(
     for i, a in enumerate(units):
         last = i == n - 1
         rank = resolution - a if last else a
-        share = frac[::-1] if last else frac                # of each rank
+        share = frac[::-1] if last else frac                # share of each rank
         code = np.zeros(1, dtype=np.int64)
         for _ in range(s):
             code = (code[:, None] * L + rank).ravel()
