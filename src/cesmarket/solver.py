@@ -483,7 +483,13 @@ def _damped_newton(F, step, z, n_pos):
     unknowns reach zero, and is halved up to 14 times until the residual
     norm falls by the Armijo factor.  Stops once max |F| <=
     _NEWTON_RTOL * max(1, max |z[n_pos:]|) at the start, after
-    _NEWTON_STEPS steps, or when no step is accepted.  Returns (z, steps).
+    _NEWTON_STEPS steps, when the cut leaves a step of length exactly 0, or
+    when no step is accepted.  Returns (z, steps).
+
+    A cut of length 0 comes from a coordinate of z[:n_pos] at zero, below
+    _NEWTON_FLOOR, where _newton_step takes its dense path, which depends
+    only on z and F(z): the Armijo test holds at t = 0, so every later step
+    would be this one again, accepted with z unchanged, up to _NEWTON_STEPS.
 
     Cutting onto zero, not just short of it, matters: a coordinate that
     lands below _NEWTON_FLOOR is held at the floor by the callers' F, while
@@ -504,6 +510,8 @@ def _damped_newton(F, step, z, n_pos):
         t = 1.0
         if shrink.any():
             t = min(1.0, float(np.min(z[:n_pos][shrink] / -dx[shrink])))
+        if t == 0.0:    # not t <= 0: some solves certify only through t < 0 steps
+            break
         norm0 = float(np.linalg.norm(Fz))
         for _ in range(14):
             z_new = z + t * dz
@@ -866,7 +874,7 @@ def grid_oracle(
     for fixed in np.ndindex((K,) * head):
         for start in range(0, K, step):
             run = slice(start, min(start + step, K))
-            obj = 0.0
+            obj = None
             for (rank, share, code, lattice), v in zip(agents, instance.valuations):
                 ranks = rank[run]
                 seen = np.zeros(L, dtype=bool)
@@ -876,12 +884,19 @@ def grid_oracle(
                 B[:head] = share[rank[list(fixed)]][:, None, None]
                 B[head] = share[distinct][:, None]
                 B[head + 1 :] = lattice[:, None, :]
-                table = v.values_batch(B.reshape(m, -1).T) ** rho
+                table = v.values_batch(B.reshape(m, -1).T)
+                if rho != 1.0:      # x ** 1.0 is x to the bit; skip the pass
+                    table = table**rho
                 table = table.reshape(distinct.size, L**s)
                 if L < K:
                     table = table[:, code][(np.cumsum(seen) - 1)[ranks]]
-                obj += table
-            obj = obj.ravel() / rho
+                if obj is None:     # a new array: values_batch's or a gather
+                    obj = table
+                else:
+                    obj += table
+            obj = obj.ravel()
+            if rho != 1.0:
+                obj /= rho
             k = int(np.argmax(obj))
             if obj[k] > best_obj:
                 best_obj = float(obj[k])

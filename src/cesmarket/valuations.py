@@ -138,7 +138,8 @@ class Valuation(ABC):
 
     @abstractmethod
     def values_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized v over rows of an (k, m) array.  No validation."""
+        """Vectorized v over rows of an (k, m) array, as a new array that the
+        caller may write to (grid_oracle sums into it).  No validation."""
 
     @abstractmethod
     def valued_goods(self) -> np.ndarray:

@@ -304,12 +304,15 @@ def _full_search_then_refine(stack, e, max_iters, A=None):
         (12, lambda w: CesForm(w, 0.5, 1.0)),
         (8, Linear),
         (20, lambda w: CesForm(w, 0.5, 1.0)),
+        (12, Linear),
     ],
-    ids=["8x8-ces", "12x12-ces", "8x8-linear", "20x20-ces"],
+    ids=["8x8-ces", "12x12-ces", "8x8-linear", "20x20-ces", "12x12-linear"],
 )
 def test_large_markets_certify(n, make):
     # a full 100000-iteration search took 35 s (8x8) and 72 s (12x12) on the
-    # CES markets; an early attempt's short search certifies them
+    # CES markets; an early attempt's short search certifies them.  The 12x12
+    # linear market needs Newton's t < 0 steps: ending a solve at t <= 0, not
+    # only at t == 0, left it uncertified
     w = np.random.default_rng(0).uniform(0.3, 3.0, (n, n))
     res = solve_ces(Instance(tuple(make(row) for row in w), 0.5))
     assert res.max_kkt_residual <= 1e-8
@@ -553,6 +556,91 @@ def strictly_concave_newton_points(draw):
 def test_block_step_matches_dense_step_property(case):
     with _counted_lstsq() as calls:
         _assert_block_step_is_dense_step(case, calls)
+
+
+def test_damped_newton_stops_at_a_zero_length_step():
+    # z[0] sits at zero and every step points below it, so the cut leaves a
+    # step of length 0: the solve ends after that one step, z unchanged
+    z0 = np.array([0.0, 1.0])
+    calls = []
+
+    def step(z, Fz, fell_back):
+        calls.append(z.tobytes())
+        return np.array([-1.0, 0.5]), True
+
+    z, steps = solver._damped_newton(lambda z: z - [0.5, 2.0], step, z0.copy(), 1)
+    assert steps == 1 and calls == [z0.tobytes()]
+    assert z.tobytes() == z0.tobytes()
+
+
+def _record_newton_steps(mp):
+    """Patch the solver so that each Newton system adds a list to the result
+    and each of its steps adds the bytes of the z it steps from."""
+    systems = []
+    newton_system, newton_step = solver._newton_system, solver._newton_step
+
+    def system(*args):
+        systems.append([])
+        return newton_system(*args)
+
+    def step(stack, A, e, support, pr, z, Fz, dense):
+        systems[-1].append(z.tobytes())
+        return newton_step(stack, A, e, support, pr, z, Fz, dense)
+
+    mp.setattr(solver, "_newton_system", system)
+    mp.setattr(solver, "_newton_step", step)
+    return systems
+
+
+def _assert_no_step_repeats(systems):
+    """No Newton system steps twice in a row from a byte-equal z, as it
+    would after a step that moved nothing."""
+    assert systems
+    for points in systems:
+        assert all(a != b for a, b in zip(points, points[1:]))
+
+
+def test_linear_refine_takes_no_zero_length_step(monkeypatch):
+    # the benchmark ladder's 4x4 linear market at rho .5, seed 1: its support
+    # coordinates reach zero and the dense step points below them
+    weights = [
+        [2.512992141622048, 2.144874646208794, 2.4251617421979628, 0.8173638993543653],
+        [2.466383235063231, 0.8165746003544407, 0.5201920668814843, 2.6091128305750892],
+        [2.625465439679705, 2.6666501603247674, 1.5741562422687336, 1.0399306492570395],
+        [0.3191479372285489, 2.0434464180523593, 2.2437553354734714, 2.5560368845507404],
+    ]
+    systems = _record_newton_steps(monkeypatch)
+    res = solve_ces(Instance(tuple(Linear(w) for w in weights), 0.5))
+    assert res.max_kkt_residual <= 1e-8
+    _assert_no_step_repeats(systems)
+
+
+@st.composite
+def newton_markets(draw):
+    """A linear, CES or Leontief market, 2 to 4 agents and goods."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from([Linear, CesForm, Leontief]))
+    weights = st.lists(st.floats(0.3, 3.0), min_size=m, max_size=m)
+    if kind is CesForm:
+        sigma = draw(st.sampled_from([0.4, 0.6, 1.0]))
+        vals = tuple(CesForm(draw(weights), sigma, 1.0) for _ in range(n))
+    else:
+        vals = tuple(kind(draw(weights)) for _ in range(n))
+    return Instance(vals, draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])))
+
+
+@settings(max_examples=50)
+@given(newton_markets())
+def test_newton_takes_no_zero_length_step_property(inst):
+    solve = solve_leontief if isinstance(inst.valuations[0], Leontief) else solve_ces
+    with pytest.MonkeyPatch.context() as mp:
+        systems = _record_newton_steps(mp)
+        # some linear markets with tied weights do not certify at rho = 1;
+        # their Newton steps must not repeat either
+        with contextlib.suppress(DidNotConverge):
+            solve(inst)
+    _assert_no_step_repeats(systems)
 
 
 def test_kkt_residual_flags_suboptimal_points():
