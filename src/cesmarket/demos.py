@@ -6,7 +6,9 @@ shows where they are not needed:
   - linear_gap_demo: linear prices leave an n**(1/rho - 1) welfare gap
   - exchange_violation_demo: three optima that no pricing rule of the
     required shape can support (mixed degrees, negative curvature, and a
-    differentiable rule at the proportional-fairness point)
+    differentiable rule at the proportional-fairness point); the
+    mixed-degree optimum is the smooth solver's, certified at first-order
+    residual 1e-12
   - nash_threshold_pricing: the proportional-fairness optimum supported by
     per-good thresholds with unit budgets
   - first_welfare_check: linear-price equilibria maximize the plain sum of
@@ -31,6 +33,7 @@ from .solver import (
     closed_form_single_good,
     grid_oracle,
 )
+from .valuations import Linear, Power, ValuationStack
 
 
 @dataclass(frozen=True)
@@ -121,25 +124,6 @@ class ViolationReport:
         )
 
 
-def _maximize_concave_1d(f, lo: float, hi: float, iters: int = 300) -> float:
-    """Golden-section argmax of a concave function on [lo, hi]."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 MIXED_DEGREE = "mixed-degree"
 NEGATIVE_RHO = "negative-rho"
 NASH_DIFFERENTIABLE = "nash-differentiable"
@@ -151,6 +135,8 @@ def exchange_violation_demo(kind: str, rho: float | None = None) -> ViolationRep
     mixed-degree (rho in (0,1)): agents v1 = x and v2 = sqrt(2x) share one
         good; agent-optimality under any common price forces
         v1(x1) - v1(x2) >= v2(x1) - v2(x2), which the welfare optimum breaks.
+        The optimum comes from the smooth solver (solver._solve_smooth) and
+        is certified at first-order residual 1e-12, else DidNotConverge.
     negative-rho (rho < 0): v1 = x, v2 = 2x; the optimum gives the
         low-weight agent more, so the same exchange inequality flips.
     nash-differentiable: at the proportional-fairness optimum of v1 = x,
@@ -162,12 +148,12 @@ def exchange_violation_demo(kind: str, rho: float | None = None) -> ViolationRep
             rho = 0.5
         if not (0.0 < rho < 1.0):
             raise BadRho(f"{kind} needs rho in (0, 1), got {rho}")
-
-        def objective(x1):
-            return (x1**rho + (2.0 * (1.0 - x1)) ** (rho / 2.0)) / rho
-
-        x1 = _maximize_concave_1d(objective, 0.0, 1.0)
-        x2 = 1.0 - x1
+        # a bare stack: Instance rejects mixed degrees, which no rule supports
+        stack = ValuationStack((Linear([1.0]), Power(math.sqrt(2.0), 0.5)))
+        X, _, _, residual = _solve_smooth(stack, rho, tolerance=1e-12, max_iters=100_000)
+        if not residual <= 1e-12:
+            raise DidNotConverge(f"mixed-degree residual {residual:.3e} above 1e-12")
+        x1, x2 = (float(x) for x in X[:, 0])
         lhs = x1 - x2
         rhs = math.sqrt(2.0 * x1) - math.sqrt(2.0 * x2)
         return ViolationReport(

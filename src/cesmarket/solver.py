@@ -20,10 +20,14 @@ unit-linear agents over their levels alpha_i, with A = W.  Both run
 through one driver, _solve_smooth: _check_budget, then attempts at
 growing search budgets (100, 400, ..., max_iters), each an ellipsoid
 search (_ellipsoid_phase) and one active-set Newton polish (_kkt_refine,
-whose equality solves go through _newton_residual, _newton_step and
-_damped_newton), stopping at the first attempt that kkt_residual, the
-one first-order residual of the packing program, certifies.  The search
-thus runs only as long as the polish needs.  Every first-order check goes
+whose equality solves, _newton_system, go through _newton_residual and
+_newton_step), stopping at the first attempt that kkt_residual, the one
+first-order residual of the packing program, certifies.  The search thus
+runs only as long as the polish needs.  The driver also solves the
+mixed-degree witness of demos.py, a stack that no Instance admits: the
+search's cuts take the first agent's degree, but the refine and the
+residual read each agent's, so the point it returns is a certified
+optimum.  Every first-order check goes
 through one kernel, _scaled_marginals: a point is supported by the convex
 price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -473,69 +477,32 @@ def _newton_step(stack, A, e, support, pr, z, Fz, dense):
     return np.linalg.lstsq(J, -Fz, rcond=None)[0], True
 
 
-def _damped_newton(F, step, z, n_pos):
-    """Damped Newton on F(z) = 0, keeping z[:n_pos] nonnegative.
+def _newton_system(stack, A, e, support, priced, X_init):
+    """Solve the equality system on a fixed support by damped exact-Jacobian Newton.
 
-    Each step dz solves J(z) dz = -F(z), as (dz, fell_back) =
-    step(z, F(z), fell_back): every call gets the flag the previous one
-    returned (False at first), so a step that fell back to a slower solve
-    can keep later steps on it.  The step is cut where the first n_pos
-    unknowns reach zero, and is halved up to 14 times until the residual
-    norm falls by the Armijo factor.  Stops once max |F| <=
-    _NEWTON_RTOL * max(1, max |z[n_pos:]|) at the start, after
-    _NEWTON_STEPS steps, when the cut leaves a step of length exactly 0, or
-    when no step is accepted.  Returns (z, steps).
+    Unknowns: the variables on the support, z[:n_x], then q on the priced
+    constraints.  Equations (_newton_residual): scaled marginal = (A q) on
+    every support variable, and usage = 1 on every priced constraint.  Each
+    multiplier starts at the mean, over the agents whose bundle uses its
+    constraint, of the agent's marginal per unit of that use (1 if no agent
+    uses it).  The steps are _newton_step's; once one has fallen back to
+    dense least squares, the rest stay dense: a floored coordinate stays at
+    the floor, and a singular block mostly stays singular.  Each step is cut
+    where the support variables reach zero, and is halved up to 14 times
+    until the residual norm falls by the Armijo factor.  Stops once max |F|
+    <= _NEWTON_RTOL * max(1, max |q|) at the start, after _NEWTON_STEPS
+    steps, when the cut leaves a step of length exactly 0, or when no step
+    is accepted.  Returns (X, q, steps).
 
-    A cut of length 0 comes from a coordinate of z[:n_pos] at zero, below
+    A cut of length 0 comes from a support variable at zero, below
     _NEWTON_FLOOR, where _newton_step takes its dense path, which depends
     only on z and F(z): the Armijo test holds at t = 0, so every later step
     would be this one again, accepted with z unchanged, up to _NEWTON_STEPS.
 
     Cutting onto zero, not just short of it, matters: a coordinate that
-    lands below _NEWTON_FLOOR is held at the floor by the callers' F, while
-    one left at a millionth of its value keeps a near-singular marginal
-    that can stall the smooth program's refine.
-    """
-    target = _NEWTON_RTOL * max(1.0, float(np.abs(z[n_pos:]).max(initial=0.0)))
-    Fz = F(z)
-    steps = 0
-    fell_back = False
-    for _ in range(_NEWTON_STEPS):
-        steps += 1
-        if np.abs(Fz).max() <= target:
-            break
-        dz, fell_back = step(z, Fz, fell_back)
-        dx = dz[:n_pos]
-        shrink = dx < 0
-        t = 1.0
-        if shrink.any():
-            t = min(1.0, float(np.min(z[:n_pos][shrink] / -dx[shrink])))
-        if t == 0.0:    # not t <= 0: some solves certify only through t < 0 steps
-            break
-        norm0 = float(np.linalg.norm(Fz))
-        for _ in range(14):
-            z_new = z + t * dz
-            F_new = F(z_new)
-            if float(np.linalg.norm(F_new)) <= (1.0 - 1e-4 * t) * norm0:
-                z, Fz = z_new, F_new
-                break
-            t *= 0.5
-        else:
-            break
-    return z, steps
-
-
-def _newton_system(stack, A, e, support, priced, X_init):
-    """Solve the equality system on a fixed support by exact-Jacobian Newton.
-
-    Unknowns: the variables on the support and q on the priced constraints.
-    Equations: scaled marginal = (A q) on every support variable, and usage
-    = 1 on every priced constraint.  Each multiplier starts at the mean,
-    over the agents whose bundle uses its constraint, of the agent's
-    marginal per unit of that use (1 if no agent uses it); _damped_newton
-    then takes _newton_step's steps.  Once a step has fallen back to dense
-    least squares, the rest of the solve stays dense: a floored coordinate
-    stays at the floor, and a singular block mostly stays singular.
+    lands below _NEWTON_FLOOR is held at the floor by _newton_residual,
+    while one left at a millionth of its value keeps a near-singular
+    marginal that can stall the refine.
     """
     n, k = support.shape
     pr = np.flatnonzero(priced)
@@ -550,19 +517,38 @@ def _newton_system(stack, A, e, support, priced, X_init):
     with np.errstate(divide="ignore", invalid="ignore"):
         per_unit = np.where(A3 > 0.0, M[:, :, None] / A3, 0.0).sum(axis=1)
     qs0 = _holder_mean(per_unit, _bundles(X, A), empty=1.0)[pr]
-    z, its = _damped_newton(
-        lambda zz: _newton_residual(stack, A, e, support, pr, zz),
-        partial(_newton_step, stack, A, e, support, pr),
-        np.concatenate([xs0, qs0]),
-        n_x,
-    )
+    z = np.concatenate([xs0, qs0])
+    target = _NEWTON_RTOL * max(1.0, float(np.abs(qs0).max(initial=0.0)))
+    Fz = _newton_residual(stack, A, e, support, pr, z)
+    dense = False
+    for steps in range(1, _NEWTON_STEPS + 1):
+        if np.abs(Fz).max() <= target:
+            break
+        dz, dense = _newton_step(stack, A, e, support, pr, z, Fz, dense)
+        dx = dz[:n_x]
+        shrink = dx < 0
+        t = 1.0
+        if shrink.any():
+            t = min(1.0, float(np.min(z[:n_x][shrink] / -dx[shrink])))
+        if t == 0.0:    # not t <= 0: some solves certify only through t < 0 steps
+            break
+        norm0 = float(np.linalg.norm(Fz))
+        for _ in range(14):
+            z_new = z + t * dz
+            F_new = _newton_residual(stack, A, e, support, pr, z_new)
+            if float(np.linalg.norm(F_new)) <= (1.0 - 1e-4 * t) * norm0:
+                z, Fz = z_new, F_new
+                break
+            t *= 0.5
+        else:
+            break
     X = np.zeros((n, k))
     X[support] = np.maximum(z[:n_x], 0.0)
     q = np.zeros(A.shape[1])
     q[pr] = z[n_x:]
     # snap numerically-zero artifacts; the refine unprices anything below
     q[(q < 0) & (q >= -1e-10)] = 0.0
-    return X, q, its
+    return X, q, steps
 
 
 def _kkt_refine(stack, A, e, X0):

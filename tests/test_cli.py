@@ -117,6 +117,12 @@ def test_env_tolerance_override(water_file, tmp_path, capsys, monkeypatch):
     assert blob["tolerance"] == 100.0
     monkeypatch.setenv("CES_MARKET_TOL", "banana")
     assert run(["verify", water_file, str(sol)]) == 2
+    monkeypatch.setenv("CES_MARKET_TOL", "-1")
+    capsys.readouterr()
+    assert run(["verify", water_file, str(sol)]) == 2
+    assert "CES_MARKET_TOL must be positive" in capsys.readouterr().err
+    assert run(["verify", water_file, str(sol), "--tol", "0"]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
 
 
 DETERMINISM_CASES = {

@@ -25,9 +25,10 @@ from cesmarket.demos import MIXED_DEGREE, NASH_DIFFERENTIABLE, NEGATIVE_RHO
 
 from conftest import water_instance
 
-# margin of the mixed-degree witness from the exact optimum:
-# with eps = x1* - 1/2, margin = 4*eps/(sqrt(1+2*eps) + sqrt(1-2*eps)) - 2*eps
-MIXED_EPS = 0.13183699973632612
+# margin of the mixed-degree witness from the exact optimum at rho = 1/2:
+# with eps = x1* - 1/2, margin = 4*eps/(sqrt(1+2*eps) + sqrt(1-2*eps)) - 2*eps,
+# where x1* is the root of x**2 = (2*(1 - x))**3 (MIXED_EPS is its double)
+MIXED_EPS = 0.13183706084293081
 MIXED_MARGIN = 4 * MIXED_EPS / (
     math.sqrt(1 + 2 * MIXED_EPS) + math.sqrt(1 - 2 * MIXED_EPS)
 ) - 2 * MIXED_EPS
@@ -94,12 +95,43 @@ def test_mixed_degree_witness():
     rep = exchange_violation_demo(MIXED_DEGREE, 0.5)
     assert rep.kind == MIXED_DEGREE
     assert rep.margin > 1e-9
-    assert rep.margin == pytest.approx(MIXED_MARGIN, abs=1e-4)
+    assert rep.margin == pytest.approx(MIXED_MARGIN, abs=1e-12)
     x1, x2 = rep.allocation
     assert x1 > x2
     assert x1 + x2 == pytest.approx(1.0, abs=1e-9)
     # the witness says the curved agent's gap beats the linear agent's
     assert rep.rhs > rep.lhs
+
+
+def _mixed_degree_root(rho):
+    """x1 with x1**(rho-1) = (2*(1 - x1))**(rho/2 - 1), bisected to adjacent doubles."""
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (rho - 1.0) * math.log(mid) > (rho / 2.0 - 1.0) * math.log(2.0 * (1.0 - mid)):
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.1, 0.3, 0.5, 0.9])
+def test_mixed_degree_witness_is_first_order_optimal(rho):
+    # the optimum equates the scaled marginals v_i**(rho-1) * v_i' of the two
+    # agents: x1**(rho-1) = (2*x2)**(rho/2 - 1) with x2 = 1 - x1
+    x1, x2 = exchange_violation_demo(MIXED_DEGREE, rho).allocation
+    assert abs(x1 - _mixed_degree_root(rho)) <= 1e-12
+    assert x1 + x2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_degree_witness_raises_above_its_tolerance(monkeypatch):
+    from cesmarket import demos
+
+    def uncertified(stack, e, **kwargs):
+        return np.full((2, 1), 0.5), np.zeros(1), 1, 2e-12
+
+    monkeypatch.setattr(demos, "_solve_smooth", uncertified)
+    with pytest.raises(DidNotConverge, match="mixed-degree residual 2.000e-12"):
+        exchange_violation_demo(MIXED_DEGREE)
 
 
 def test_mixed_degree_witness_against_grid():

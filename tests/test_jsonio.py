@@ -43,6 +43,8 @@ def test_scalar_formats():
     assert canonical_dumps(None) == "null\n"
     with pytest.raises(ValueError):
         canonical_dumps(math.nan)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        canonical_dumps(object())
 
 
 def test_float_round_trip_is_lossless(rng):

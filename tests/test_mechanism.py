@@ -9,6 +9,7 @@ from cesmarket import (
     BadBid,
     BadParameter,
     BidProfile,
+    EmptyInput,
     QuadratureFailure,
     best_response_scan,
     response_curve,
@@ -60,6 +61,8 @@ def test_profile_validation():
     assert p.alpha == pytest.approx(1.0)
     with pytest.raises(BadBid):
         BidProfile(np.array([0.0, 1.0]), 1.0, 0.5)
+    with pytest.raises(EmptyInput, match="at least one bid"):
+        BidProfile([], 1.0, 0.5)
     with pytest.raises(BadParameter):
         BidProfile(np.array([1.0]), 1.5, 0.5)
     with pytest.raises(BadParameter):

@@ -8,6 +8,7 @@ from cesmarket import (
     CesForm,
     Certificate,
     CobbDouglas,
+    DimensionMismatch,
     Instance,
     Linear,
     NotEquilibrium,
@@ -90,6 +91,16 @@ def test_rule_validation():
         make_pricing_rule([1.0], 0.5, 1.5)
     with pytest.raises(BadParameter):
         make_pricing_rule([-1.0], 0.5, 1.0)
+    with pytest.raises(DimensionMismatch, match="q must be a vector"):
+        make_pricing_rule([[1.0, 2.0]], 0.5, 1.0)
+
+
+def test_checks_reject_a_goods_count_mismatch():
+    rule = make_pricing_rule([1.0, 2.0], 0.5, 1.0)
+    with pytest.raises(DimensionMismatch, match="valuation and rule"):
+        demand_residual(rule, Linear([1.0]), [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="rule and instance"):
+        we_certificate(water_instance(0.5), [[0.2], [0.4], [0.4]], rule)
 
 
 # -- demand residual ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from cesmarket import (
     CesForm,
     CobbDouglas,
     DidNotConverge,
+    DimensionMismatch,
     EmptyInput,
     InconsistentMultipliers,
     Instance,
@@ -107,6 +108,10 @@ def test_as_allocation_validation():
         as_allocation(np.array([[0.7, 0.0], [0.7, 0.0]]), 2, 2)  # oversubscribed
     with pytest.raises(BadParameter):
         as_allocation(np.array([[-0.1, 0.0], [0.5, 0.0]]), 2, 2)
+    with pytest.raises(DimensionMismatch, match="must have shape"):
+        as_allocation(np.full((2, 2), 0.25), 2, 3)
+    with pytest.raises(BadParameter, match="must be finite"):
+        as_allocation(np.array([[np.nan, 0.0], [0.5, 0.0]]), 2, 2)
 
 
 # -- closed form ----------------------------------------------------------------
@@ -152,6 +157,23 @@ def test_closed_form_matches_grid(rng):
 def test_closed_form_empty():
     with pytest.raises(EmptyInput):
         closed_form_single_good([], 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "weights, degree, rho, error, message",
+    [
+        ([[1.0, 2.0]], 1.0, 0.5, DimensionMismatch, "weights must be a vector"),
+        ([1.0, 0.0], 1.0, 0.5, BadParameter, "weights must be positive"),
+        ([1.0, -2.0], 1.0, 0.5, BadParameter, "weights must be positive"),
+        ([1.0, 2.0], 0.0, 0.5, BadParameter, "degree must lie"),
+        ([1.0, 2.0], 1.5, 0.5, BadParameter, "degree must lie"),
+        ([1.0, 2.0], 1.0, 0.0, BadParameter, "rho must lie"),
+        ([1.0, 2.0], 1.0, 1.5, BadParameter, "rho must lie"),
+    ],
+)
+def test_closed_form_rejects_bad_input(weights, degree, rho, error, message):
+    with pytest.raises(error, match=message):
+        closed_form_single_good(weights, degree, rho)
 
 
 # -- solve_ces ------------------------------------------------------------------
@@ -558,19 +580,26 @@ def test_block_step_matches_dense_step_property(case):
         _assert_block_step_is_dense_step(case, calls)
 
 
-def test_damped_newton_stops_at_a_zero_length_step():
-    # z[0] sits at zero and every step points below it, so the cut leaves a
-    # step of length 0: the solve ends after that one step, z unchanged
-    z0 = np.array([0.0, 1.0])
+def test_newton_system_stops_at_a_zero_length_step(monkeypatch):
+    # one support variable from z = .25 and every step dx = -1: the first
+    # step is cut onto exactly 0, the next is cut to length 0, so the system
+    # returns after two steps with x where the first cut left it
     calls = []
 
-    def step(z, Fz, fell_back):
+    def step(stack, A, e, support, pr, z, Fz, dense):
         calls.append(z.tobytes())
-        return np.array([-1.0, 0.5]), True
+        return np.array([-1.0]), True
 
-    z, steps = solver._damped_newton(lambda z: z - [0.5, 2.0], step, z0.copy(), 1)
-    assert steps == 1 and calls == [z0.tobytes()]
-    assert z.tobytes() == z0.tobytes()
+    monkeypatch.setattr(solver, "_newton_residual", lambda *args: args[-1] + 1.0)
+    monkeypatch.setattr(solver, "_newton_step", step)
+    support = np.array([[True]])
+    X, q, steps = solver._newton_system(
+        ValuationStack((Linear([1.0]),)), _supply_rows(1, 1), 0.5, support,
+        np.array([False]), np.array([[0.25]]),
+    )
+    assert steps == 2
+    assert calls == [np.array([0.25]).tobytes(), np.array([0.0]).tobytes()]
+    assert X.tobytes() == np.zeros((1, 1)).tobytes() and q.tobytes() == bytes(8)
 
 
 def _record_newton_steps(mp):

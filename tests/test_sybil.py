@@ -77,6 +77,11 @@ def test_sybil_status_examples():
     assert sybil_status(0.3, 0.5, 0.2) is SybilStatus.STABLE
     assert sybil_status(3.0, 0.5, 0.2) is SybilStatus.UNBOUNDED
     assert sybil_status(100.0, 1.0, 0.0) is SybilStatus.STABLE
+    for rho in (0.0, 1.5):
+        with pytest.raises(BadParameter, match="rho must lie"):
+            sybil_status(0.3, rho, 0.2)
+    with pytest.raises(BadParameter, match="kappa must be nonnegative"):
+        sybil_status(0.3, 0.5, -0.2)
 
 
 def test_swe_check_symmetric_market():
@@ -190,6 +195,8 @@ def test_single_good_sybil_cap():
         single_good_sybil_cap(1.0, 0.5)
     with pytest.raises(BadParameter):
         single_good_sybil_cap(0.5, 0.5)
+    with pytest.raises(BadParameter, match="kappa must be nonnegative"):
+        single_good_sybil_cap(2.0, -0.5)
 
 
 def test_report_json():

@@ -379,6 +379,10 @@ def test_constructor_rejections():
         Power(1.0, 1.5)
     with pytest.raises(BadParameter):
         Power(0.0, 0.5)
+    with pytest.raises(BadParameter, match="degree must lie"):
+        Power(1.0, 0.0)
+    with pytest.raises(DimensionMismatch, match="weights must be a vector"):
+        Linear([[1.0, 2.0]])
     with pytest.raises(BadParameter):
         CobbDouglas([0.7, 0.7])  # exponent sum 1.4 > 1
     with pytest.raises(BadParameter):

@@ -36,6 +36,8 @@ def test_params_validation():
         WelfareParams(0.5, multipliers=[0.0, 0.0])
     with pytest.raises(BadParameter):
         WelfareParams(0.5, multipliers=[-1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="multipliers must be a vector"):
+        WelfareParams(0.5, multipliers=[[1.0, 2.0]])
 
 
 def test_ces_welfare_values():
@@ -81,6 +83,8 @@ def test_domain_errors():
         ces_welfare(WelfareParams(0.5), [])
     with pytest.raises(DimensionMismatch):
         ces_welfare(WelfareParams(0.5, multipliers=[1.0, 1.0]), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="values must be a vector"):
+        ces_welfare(WelfareParams(0.5), [[1.0, 2.0]])
 
 
 def test_nash_objective():
@@ -91,6 +95,9 @@ def test_nash_objective():
         nash_objective(None, [1.0, 0.0])
     with pytest.raises(DimensionMismatch):
         nash_objective([1.0], [1.0, 2.0])
+    for values in ([], [[1.0, 2.0]]):
+        with pytest.raises(DimensionMismatch, match="nonempty vector"):
+            nash_objective(None, values)
 
 
 def test_scale_covariance(rng):
@@ -156,3 +163,7 @@ def test_gradient_only_objective_errors():
     curved = Instance((CobbDouglas([0.5, 0.5]),), 0.5)
     with pytest.raises(BoundaryGradient):
         objective_and_gradient_via_val_gradients(curved, np.array([[0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch, match="one multiplier per agent"):
+        objective_and_gradient_via_val_gradients(
+            inst, np.array([[0.5, 0.5], [0.5, 0.5]]), multipliers=[1.0]
+        )
