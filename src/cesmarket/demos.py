@@ -245,7 +245,10 @@ def first_welfare_check(
     Verifies the equilibrium preconditions first (each agent's bundle beats
     every alternative at prices linear_q, and priced goods clear), raising
     NotEquilibrium naming the failed part.  Then compares the total value
-    against the brute-force utilitarian optimum.
+    against the brute-force utilitarian optimum, from grid_oracle at the
+    finest resolution whose grid fits the oracle's point budget.  Raises
+    TooLarge when even the coarsest grid, 3 units per good, does not fit:
+    8 agents over 4 goods already have 120**4 = 207,360,000 points.
     """
     X = as_allocation(allocation, instance.n, instance.m)
     q = np.atleast_1d(np.asarray(linear_q, dtype=float))

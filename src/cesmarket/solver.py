@@ -100,7 +100,7 @@ _NEWTON_STEPS = 60        # Newton steps per equality solve
 _REFINE_ROUNDS = 40       # support and priced-set repairs per refine
 _FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
 _ORACLE_POINTS = 30_000_000  # grid points the oracle scores at most by default
-_ORACLE_CHUNK = 1 << 18      # grid points the oracle scores per block
+_ORACLE_CHUNK = 1 << 16      # grid points the oracle scores per block
 
 
 @dataclass(frozen=True)
@@ -782,25 +782,36 @@ def extract_multipliers(
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length `parts` summing to `total`.
+def _compositions(
+    total: int, parts: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Rows [start, stop) of the nonnegative integer vectors of length
+    `parts` summing to `total`, in lexicographic order; all rows by default.
 
-    Each vector is the gaps between cut points 0 <= s_1 <= ... <=
-    s_{parts-1} <= total.  The cuts grow one column at a time: a row whose
-    last cut is a extends to a, a + 1, ..., total.  Rows come in
-    lexicographic order.  The array is column-major, so each part's column
-    is contiguous.
+    Each row is unranked part by part (the combinatorial number system), so
+    a range costs only its own rows.  With t units left for the last q
+    parts there are N(t) = C(t + q - 1, q - 1) rows; the one of rank r
+    among them has next part t - u for the u with N(u - 1) < N(t) - r <=
+    N(u), found by a search of N (for q = 2, N(u) = u + 1, a subtraction),
+    and rank N(u) - N(t) + r among the rows of q - 1 parts that follow.
+    The array is column-major, so each part's column is contiguous.
     """
-    cuts = [np.zeros(1, dtype=np.int64)]
+    ways = [np.ones(total + 1, dtype=np.int64)]             # ways[q - 1] is N for q
     for _ in range(parts - 1):
-        last = cuts[-1]
-        reps = total + 1 - last
-        row = np.repeat(np.arange(last.size), reps)
-        # each new row's place in its parent's run, plus the parent's last cut
-        cut = np.arange(row.size) - np.repeat(np.cumsum(reps) - reps - last, reps)
-        cuts = [c[row] for c in cuts] + [cut]
-    cuts.append(np.full(cuts[0].size, total))
-    return np.diff(np.stack(cuts), axis=0).T
+        ways.append(np.cumsum(ways[-1]))
+    span = range(ways[-1][-1])[start:stop]
+    out = np.empty((len(span), parts), dtype=np.int64, order="F")
+    rank = np.arange(span.start, span.stop)
+    left = total
+    for q in range(parts, 1, -1):
+        N = ways[q - 1]
+        back = N[left] - rank
+        u = back - 1 if q == 2 else np.searchsorted(N, back)
+        out[:, parts - q] = left - u
+        rank = N[u] - back
+        left = u
+    out[:, -1] = left
+    return out
 
 
 def grid_oracle(
@@ -814,20 +825,23 @@ def grid_oracle(
     `max_points` candidates.  Deterministic: first best candidate wins, in
     the lexicographic order of the goods' splits.
 
-    The K splits of one good are enumerated once.  Points are scored in
-    lexicographic order, in blocks of at most _ORACLE_CHUNK: the trailing s
-    goods, s < m the most with K**s <= _ORACLE_CHUNK, are enumerated once,
-    and a block repeats them under a run of splits of good m - s - 1, the
-    goods before it fixed; a grid of at most _ORACLE_CHUNK points is one
-    block.  An agent's bundle depends only on its own unit counts, of which
-    it can hold L = resolution + 1 per good (1 when n = 1).  So in each
-    block, one values_batch call scores an agent's table: its fixed counts
-    of the head goods, each distinct count it holds in the run, and all L**s
-    count vectors of the trailing goods.  A point gathers each agent's
-    entry by the agent's run count and trail code, the codes built once per
-    call; when L == K (n <= 2) the table is the block itself and needs no
-    gather.  A table has at most as many rows as its block has points, and
-    far fewer once n >= 3.
+    Points are scored in lexicographic order, in blocks of at most
+    _ORACLE_CHUNK (2^16): the trailing s goods, s < m the most with
+    K**s <= _ORACLE_CHUNK for K splits per good, are enumerated once, and a
+    block repeats them under a run of splits of good m - s - 1, the goods
+    before it fixed; a grid of at most _ORACLE_CHUNK points is one block.
+    Each block takes only its own splits from _compositions, so memory
+    grows with the block (0.5 MB per vector), not with the grid: 3 agents
+    over one good at resolution 2000, 2,003,001 points, peak under 10 MB.
+    An agent's bundle depends only on its own unit counts, of which it can
+    hold L = resolution + 1 per good (1 when n = 1).  So in each block, one
+    values_batch call scores an agent's table: its fixed counts of the head
+    goods, each distinct count it holds in the run, and all L**s count
+    vectors of the trailing goods.  A point gathers each agent's entry by
+    the agent's run count and trail code, the codes built once per call;
+    when L == K (n <= 2) the table is the block itself and needs no gather.
+    A table has at most as many rows as its block has points, and far fewer
+    once n >= 3.
     """
     if resolution < 1:
         raise BadParameter("resolution must be at least 1")
@@ -836,7 +850,6 @@ def grid_oracle(
     K = math.comb(resolution + n - 1, n - 1)
     if K**m > max_points:
         raise TooLarge(f"{K}**{m} = {K**m} grid points exceed the {max_points} budget")
-    units = _compositions(resolution, n).T                  # (n, K), rows contiguous
     frac = np.arange(resolution + 1) / resolution           # each unit count's share
     s = max(t for t in range(m) if K**t <= _ORACLE_CHUNK)
     head = m - s - 1                                        # goods fixed per block
@@ -845,37 +858,45 @@ def grid_oracle(
     # splits, which come in lexicographic order: counting up from 0, the last
     # agent's counting down from resolution.  An agent that holds a distinct
     # count at every split (L == K, so n <= 2) then has rank k at split k.
+    # The trailing goods' codes rank every split, which s > 0 keeps within
+    # a block (K <= K**s <= _ORACLE_CHUNK).
     L = resolution + 1 if n > 1 else 1
+    units = _compositions(resolution, n, stop=K if s else 0).T    # (n, K) or (n, 0)
+    # Every agent's table bundles share one buffer, which the blocks reuse and
+    # whose trailing rows are written once.  Under glibc, freeing it at the
+    # end also raises the heap's trim threshold, so the next call's block
+    # temporaries reuse pages instead of faulting fresh ones in.
+    buf = np.empty((n, m, min(step, L), L**s))
     agents = []
     for i, a in enumerate(units):
         last = i == n - 1
-        rank = resolution - a if last else a
         share = frac[::-1] if last else frac                # share of each rank
         code = np.zeros(1, dtype=np.int64)
         for _ in range(s):
-            code = (code[:, None] * L + rank).ravel()
-        lattice = share[np.indices((L,) * s).reshape(s, L**s)]
-        agents.append((rank, share, code, lattice))
+            code = (code[:, None] * L + (resolution - a if last else a)).ravel()
+        buf[i, head + 1 :] = share[np.indices((L,) * s).reshape(s, L**s)][:, None, :]
+        agents.append((last, share, code, buf[i]))
     best_obj = -np.inf
     for fixed in np.ndindex((K,) * head):
+        held = np.array([_compositions(resolution, n, f, f + 1)[0] for f in fixed],
+                        dtype=np.int64).reshape(head, n)      # the head goods' units
+        for (*_, B), h in zip(agents, held.T):
+            B[:head] = frac[h][:, None, None]
         for start in range(0, K, step):
-            run = slice(start, min(start + step, K))
+            run = _compositions(resolution, n, start, start + step).T
             obj = None
-            for (rank, share, code, lattice), v in zip(agents, instance.valuations):
-                ranks = rank[run]
+            for a, (last, share, code, B), v in zip(run, agents, instance.valuations):
+                rank = resolution - a if last else a
                 seen = np.zeros(L, dtype=bool)
-                seen[ranks] = True
+                seen[rank] = True
                 distinct = np.flatnonzero(seen)
-                B = np.empty((m, distinct.size, L**s))
-                B[:head] = share[rank[list(fixed)]][:, None, None]
-                B[head] = share[distinct][:, None]
-                B[head + 1 :] = lattice[:, None, :]
-                table = v.values_batch(B.reshape(m, -1).T)
+                B[head, : distinct.size] = share[distinct][:, None]
+                table = v.values_batch(B[:, : distinct.size].reshape(m, -1).T)
                 if rho != 1.0:      # x ** 1.0 is x to the bit; skip the pass
-                    table = table**rho
+                    table **= rho
                 table = table.reshape(distinct.size, L**s)
                 if L < K:
-                    table = table[:, code][(np.cumsum(seen) - 1)[ranks]]
+                    table = table[(np.cumsum(seen) - 1)[rank]][:, code]
                 if obj is None:     # a new array: values_batch's or a gather
                     obj = table
                 else:
@@ -887,7 +908,8 @@ def grid_oracle(
             if obj[k] > best_obj:
                 best_obj = float(obj[k])
                 j, t = divmod(k, K**s)
-                best = frac[units[:, [*fixed, start + j, *np.unravel_index(t, (K,) * s)]]]
+                trail = units[:, list(np.unravel_index(t, (K,) * s))]
+                best = frac[np.column_stack([held.T, run[:, j], trail])]
     return best
 
 

@@ -13,6 +13,7 @@ from cesmarket import (
     Instance,
     Linear,
     NotEquilibrium,
+    TooLarge,
     WelfareParams,
     ces_welfare,
     exchange_violation_demo,
@@ -253,6 +254,16 @@ def test_first_welfare_trivial_market():
     inst = Instance((Linear([1.0, 0.0]),), 1.0)
     x = np.array([[1.0, 0.0]])
     assert first_welfare_check(inst, x, [1.0, 0.0])
+
+
+def test_first_welfare_too_large_for_the_oracle():
+    # eight linear agents over four goods: even the coarsest grid, 3 units
+    # per good, has 120**4 = 207,360,000 points, over the oracle's budget
+    inst = Instance(tuple(Linear(np.ones(4)) for _ in range(8)), 1.0)
+    X = np.zeros((8, 4))
+    X[0] = 1.0
+    with pytest.raises(TooLarge):
+        first_welfare_check(inst, X, np.ones(4))
 
 
 def test_first_welfare_rejects_nonclearing():

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -770,9 +771,38 @@ def _naive_oracle(inst, resolution):
 
 @pytest.mark.parametrize("total, parts", [(0, 3), (5, 1), (7, 2), (6, 3), (4, 5), (0, 1)])
 def test_compositions_match_lexicographic_enumeration(total, parts):
-    np.testing.assert_array_equal(
-        solver._compositions(total, parts), np.array(_naive_splits(total, parts))
-    )
+    splits = np.array(_naive_splits(total, parts))
+    np.testing.assert_array_equal(solver._compositions(total, parts), splits)
+    K = len(splits)
+    # any range is the same rows of the full list: empty (at the front, in
+    # the middle, past the end), one row, clipped by a stop past the end,
+    # and interior spans
+    for start, stop in [(0, 0), (K // 2, K // 2), (K + 2, K + 5), (0, 1), (K - 1, K),
+                        (K // 2, K // 2 + 1), (K - 1, K + 4), (1, None), (K // 3, 2 * K // 3 + 1)]:
+        rows = solver._compositions(total, parts, start, stop)
+        assert rows.shape == (len(range(K)[start:stop]), parts)
+        np.testing.assert_array_equal(rows, splits[start:stop])
+        assert rows.flags.f_contiguous
+
+
+@pytest.mark.parametrize(
+    "weights, resolution",
+    [
+        ([1.0, 6.0, 5.0], 2000),      # the demo first-welfare grid: 2,003,001 splits
+        ([1.0, 6.0, 5.0, 2.0], 200),  # 1,373,701 splits
+    ],
+)
+def test_grid_oracle_memory_is_a_few_blocks(weights, resolution):
+    # all 2,003,001 splits of the first at once would take about 180 MB
+    inst = Instance(tuple(Linear([w]) for w in weights), 1.0)
+    tracemalloc.start()
+    try:
+        X = grid_oracle(inst, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(X[:, 0], np.eye(len(weights))[1])
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("chunk", [1 << 18, 2])
@@ -865,14 +895,16 @@ def _table_rows(n, m, resolution, chunk):
 
 def test_grid_oracle_values_far_fewer_bundles_than_points(monkeypatch):
     # the oracle benchmark's 3x2 CES shape: K = 1891 splits per good, so
-    # blocks of 138 splits of good 0 over all 1891 of good 1, 14 blocks
+    # blocks of 34 splits of good 0 over all 1891 of good 1, 56 blocks
     weights = ([1.0, 2.0], [2.0, 0.7], [1.2, 1.1])
     inst = Instance(tuple(CesForm(w, 0.5, 1.0) for w in weights), 0.75)
     rows = _counted_rows(monkeypatch, inst)
     grid_oracle(inst, 60)
-    # at most 61 distinct units of good 0 times 61 of good 1 per agent and
-    # block; scoring every point would be 3 * 1891**2 = 10,727,643 rows
-    assert sum(rows) <= 14 * 3 * 61**2
+    # 215,330 rows: each agent's distinct units of good 0 in a block times
+    # the 61 of good 1, about 50x fewer than scoring every point
+    # (3 * 1891**2 = 10,727,643 rows)
+    assert sum(rows) == _table_rows(3, 2, 60, solver._ORACLE_CHUNK)
+    assert 40 * sum(rows) < 3 * 1891**2
     # with two agents every split is a distinct bundle: one row per point
     inst, resolution = ORACLE_MARKETS[0]
     rows = _counted_rows(monkeypatch, inst)
