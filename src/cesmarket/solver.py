@@ -18,16 +18,18 @@ packing matrix A.  The allocation program stacks one identity per agent
 (sum_i x_ij <= 1); the Leontief program is the level market of n
 unit-linear agents over their levels alpha_i, with A = W.  Both run
 through one driver, _solve_smooth: _check_budget, then attempts at
-growing search budgets (100, 400, ..., max_iters), each an ellipsoid
+search budgets 1, 100, 400, 1600, ..., max_iters, each an ellipsoid
 search (_ellipsoid_phase) and one active-set Newton polish (_kkt_refine,
 whose equality solves, _newton_system, go through _newton_residual and
 _newton_step), stopping at the first attempt that kkt_residual, the one
-first-order residual of the packing program, certifies.  The search thus
-runs only as long as the polish needs.  The driver also solves the
-mixed-degree witness of demos.py, a stack that no Instance admits: the
-search's cuts take the first agent's degree, but the refine and the
-residual read each agent's, so the point it returns is a certified
-optimum.  Every first-order check goes
+first-order residual of the packing program, certifies.  The program is
+concave, so a certified point is a global optimum however it was found:
+the one-iteration first attempt polishes the search's start point, and
+the search runs only as long as the polish needs.  _solve_smooth also
+solves the mixed-degree witness of demos.py, a stack that no Instance
+admits: the search's cuts take the first agent's degree, but the refine
+and the residual read each agent's, so the point it returns is a
+certified optimum.  Every first-order check goes
 through one kernel, _scaled_marginals: a point is supported by the convex
 price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
@@ -98,7 +100,7 @@ _NEWTON_FLOOR = 1e-13     # support coordinates are evaluated at least here
 _NEWTON_RTOL = 1e-13      # Newton stops at max |F| <= this * max(1, max |q|)
 _NEWTON_STEPS = 60        # Newton steps per equality solve
 _REFINE_ROUNDS = 40       # support and priced-set repairs per refine
-_FIRST_BUDGET = 100       # search budget of the smooth solve's first attempt
+_FIRST_BUDGET = 100       # search budget of the first attempt past the start point
 _ORACLE_POINTS = 30_000_000  # grid points the oracle scores at most by default
 _ORACLE_CHUNK = 1 << 16      # grid points the oracle scores per block
 
@@ -678,9 +680,12 @@ def _solve_smooth(stack, e, *, tolerance, max_iters, A=None):
     """Search then refine the packing program with exponent e (0: log program).
 
     A is the (n k, m) packing matrix, by default the allocation program's
-    supply rows.  Attempt k searches from scratch with budget
-    min(_FIRST_BUDGET * 4**k, max_iters) and refines the search's best
-    point.  The first attempt whose kkt_residual is within `tolerance` is
+    supply rows.  Each attempt searches from scratch and refines the
+    search's best point.  The budgets are 1, then
+    min(_FIRST_BUDGET * 4**k, max_iters) for k = 0, 1, ...: a
+    one-iteration search evaluates and returns its start point,
+    cap / (2 max A^T cap), which is x_ij = 1/(2n) on the allocation
+    program.  The first attempt whose kkt_residual is within `tolerance` is
     returned, and so is one whose search stopped before its budget (the
     search is deterministic, so a larger budget would replay the same
     iterates) or ran the full max_iters.  Returns (X, q, iterations of
@@ -693,7 +698,7 @@ def _solve_smooth(stack, e, *, tolerance, max_iters, A=None):
                 "Leontief valuations have no gradient; use solve_leontief"
             )
     A = _supply_rows(stack.n, stack.m) if A is None else A
-    budget = min(_FIRST_BUDGET, max_iters)
+    budget = 1
     iters = 0
     while True:
         X0, searched = _ellipsoid_phase(stack, A, e, tolerance, budget)
@@ -702,7 +707,7 @@ def _solve_smooth(stack, e, *, tolerance, max_iters, A=None):
         residual = kkt_residual(stack, e, X, q, A)
         if residual <= tolerance or searched < budget or budget == max_iters:
             return X, q, iters, residual
-        budget = min(4 * budget, max_iters)
+        budget = min(_FIRST_BUDGET if budget == 1 else 4 * budget, max_iters)
 
 
 def solve_ces(
@@ -713,13 +718,13 @@ def solve_ces(
 ) -> SolveResult:
     """Maximize (1/rho) sum_i v_i(x_i)**rho over the allocation polytope.
 
-    The ellipsoid search restarts at budgets of 100, 400, 1600, ...
+    The ellipsoid search restarts at budgets of 1, 100, 400, 1600, ...
     iterations, each attempt followed by the Newton polish, and the solve
     returns the first attempt whose first-order residual is within
-    `tolerance`.  `max_iters` is the search budget: it caps the last
-    attempt, the one full search and polish that an uncertified market
-    ends with.  `iterations` counts the search and Newton iterations of
-    every attempt.
+    `tolerance`; the first attempt polishes the search's start point.
+    `max_iters` is the search budget: it caps the last attempt, the one
+    full search and polish that an uncertified market ends with.
+    `iterations` counts the search and Newton iterations of every attempt.
 
     Deterministic: identical inputs produce identical results.  Raises
     DidNotConverge (carrying the best iterate) when the final first-order

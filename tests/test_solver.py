@@ -304,8 +304,51 @@ def test_solve_linear_market_from_rough_search():
         ([[1.0, 0.8, 2.7, 0.4], [0.8, 2.4, 0.9, 1.0]], [0.5, 0.8]),
         # Newton steps cut 0.999999 of the way to x = 0, not onto it, stall
         ([[2.87, 2.12, 2.95, 2.82], [1.93, 1.62, 2.34, 0.42]], [0.5, 0.5]),
+        # draws 15, 80, 116, 282 and 328 of 400 rho = 1 CES markets (n from
+        # integers(2, 4), m from integers(2, 5), then per agent weights
+        # uniform(0.3, 3, m) and sigma from {.5, .8, 1}, from default_rng(3)):
+        # the polish of a 100-1000-iteration search point stalled; the
+        # polish of the start point certifies them
+        (
+            [
+                [2.829721383302788, 0.6402508990907987, 1.4209444547850545],
+                [2.6887304527106037, 2.9994681763700353, 0.6878197551387509],
+                [1.7507038559537538, 2.679241427558828, 0.4431801221177389],
+            ],
+            [1.0] * 3,
+        ),
+        (
+            [
+                [2.0019838626224087, 2.6549472869116895, 0.5110774655514474, 2.8217271940455086],
+                [0.943778929053056, 2.219530375766644, 0.3162334951812783, 2.6364813620772667],
+                [1.4192403929727508, 2.299325946673765, 2.446639531881179, 0.37180632053846335],
+            ],
+            [1.0] * 3,
+        ),
+        (
+            [
+                [2.3379282104545958, 0.6712263136704586, 0.7652315163194205, 2.1636754055635405],
+                [1.916134125395857, 2.5625071820424576, 1.052104082330403, 0.956235691318708],
+            ],
+            [1.0] * 2,
+        ),
+        (
+            [
+                [1.1739482812429913, 0.46744546209996135, 2.603090289229262, 2.8834276652326545],
+                [0.4074905349984355, 1.3583330818146417, 0.36861069789233664, 2.0681657233597237],
+            ],
+            [1.0] * 2,
+        ),
+        (
+            [
+                [2.9674015704856758, 1.765952691196192, 2.3339576349826063, 1.2550432866857084],
+                [0.8119399335978783, 2.0733215354308996, 0.4924151089557276, 1.6713355458631527],
+            ],
+            [1.0] * 2,
+        ),
     ],
-    ids=["agent-left-empty", "step-onto-boundary"],
+    ids=["agent-left-empty", "step-onto-boundary"]
+    + [f"rho1-draw-{k}" for k in (15, 80, 116, 282, 328)],
 )
 def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 1.0)
@@ -341,6 +384,81 @@ def test_large_markets_certify(n, make):
     assert res.max_kkt_residual <= 1e-8
 
 
+# default_rng(0).uniform(0.3, 3.0, (30, 30)) rounded to two decimals, one
+# agent per two lines
+WEIGHTS_30X30 = """
+    2.02 1.03 0.41 0.34 2.50 2.76 1.94 2.27 1.77 2.82 2.50 0.31 2.61 0.39 2.27
+    0.77 2.63 1.76 1.11 1.44 0.38 0.64 2.11 2.05 1.96 1.34 2.99 2.95 2.15 2.06
+    2.16 1.35 0.66 2.25 1.72 1.14 1.61 2.70 2.82 1.27 1.84 1.17 1.90 1.21 1.36
+    2.70 0.91 1.98 0.53 2.55 2.43 0.95 2.67 0.46 1.21 0.71 1.52 2.45 0.92 0.44
+    1.39 0.84 0.55 1.87 1.11 2.11 0.84 2.84 1.29 0.58 2.00 2.80 1.49 2.88 1.65
+    1.45 1.97 2.99 2.86 1.54 2.35 1.64 1.73 2.42 1.42 2.28 2.22 2.82 0.61 2.27
+    2.80 2.91 0.34 2.63 2.95 2.88 0.70 2.93 2.70 2.52 1.60 0.93 2.47 2.79 1.02
+    1.76 1.50 2.81 0.41 2.28 1.96 0.38 2.24 0.34 2.35 1.68 2.81 0.48 2.57 0.48
+    1.23 1.46 2.91 1.82 1.00 0.95 2.70 0.91 0.64 1.08 1.88 1.80 2.49 1.81 1.08
+    1.41 2.51 1.99 2.89 1.30 1.79 1.90 2.59 0.69 1.40 2.76 0.42 2.52 1.42 2.54
+    0.33 1.29 0.51 2.06 1.04 2.20 2.85 0.64 2.63 0.46 1.33 1.46 1.62 2.94 2.39
+    1.13 1.03 2.63 2.68 1.68 1.23 2.99 1.15 0.79 2.68 2.49 2.10 2.89 2.80 2.32
+    2.62 0.97 0.68 2.11 2.23 0.75 1.37 2.76 1.82 1.86 0.82 1.72 1.71 0.54 2.95
+    1.84 0.32 2.39 2.94 1.89 1.16 0.81 2.12 0.83 1.86 1.93 2.90 0.50 1.65 2.31
+    0.78 1.35 0.47 2.26 0.54 1.37 2.66 1.58 2.76 2.37 2.77 0.64 0.50 0.49 2.65
+    2.01 1.64 0.74 2.12 1.16 2.22 1.54 1.67 2.43 0.55 1.86 0.83 2.48 1.62 2.97
+    0.79 2.90 2.46 1.60 2.50 1.93 2.07 2.77 0.48 2.55 1.33 1.18 2.98 2.41 1.61
+    1.44 2.67 0.53 2.21 2.43 2.46 1.17 2.45 0.91 1.28 1.43 1.76 0.60 1.40 0.30
+    2.31 2.60 0.68 2.20 2.52 2.95 2.58 1.45 2.95 2.93 1.66 2.33 2.77 1.59 2.63
+    2.19 1.09 2.37 1.84 0.55 1.36 0.50 1.59 1.46 1.44 1.88 0.63 2.82 2.15 2.52
+    2.72 1.87 0.41 2.22 1.84 2.53 1.74 2.50 2.99 1.25 0.76 1.36 2.33 1.49 1.89
+    0.64 2.26 1.06 0.81 2.63 1.82 1.61 2.73 0.53 2.18 1.19 0.77 2.12 1.28 1.19
+    2.85 0.84 1.68 0.36 0.74 2.69 2.43 1.80 0.90 1.81 0.33 2.23 2.24 2.04 1.95
+    0.50 0.97 1.85 1.36 2.98 2.79 0.71 1.89 2.18 0.67 1.14 2.23 2.73 1.22 0.95
+    2.52 1.88 1.59 0.99 0.50 0.35 1.87 0.82 2.93 0.59 1.52 1.37 0.93 2.32 2.04
+    2.26 0.52 1.25 1.70 1.45 0.41 0.82 2.85 0.74 2.60 2.52 1.36 1.56 2.52 2.14
+    2.56 2.35 2.17 2.77 2.52 0.78 2.32 0.53 1.45 1.37 0.85 2.83 0.56 0.31 1.17
+    2.98 1.01 2.54 0.77 1.88 2.89 2.23 2.95 1.85 2.96 2.56 2.40 2.70 2.01 1.26
+    1.73 0.91 2.40 0.76 1.86 1.75 2.11 2.35 0.60 1.99 1.42 1.96 2.17 1.88 2.28
+    1.70 1.55 1.07 0.92 2.18 2.18 0.83 2.92 2.11 1.73 2.57 1.61 1.59 1.00 0.72
+    2.22 2.58 2.13 1.30 1.85 1.82 2.83 1.35 0.74 2.67 2.72 0.43 0.84 2.02 2.43
+    1.94 0.82 0.62 1.67 2.50 0.89 0.50 1.79 0.82 0.48 2.39 2.52 1.38 1.09 1.05
+    1.27 1.86 1.73 1.26 2.02 2.12 1.81 1.35 1.98 1.90 1.22 1.12 1.77 1.95 1.95
+    1.33 1.83 2.96 1.46 2.58 0.52 2.66 2.84 1.01 0.33 1.60 0.79 2.92 2.72 2.89
+    1.93 1.69 2.55 2.06 0.97 2.82 1.49 2.39 1.65 0.80 1.10 1.85 0.69 0.34 1.47
+    2.36 1.96 1.18 2.24 1.61 3.00 2.40 2.54 1.00 0.71 0.84 1.47 1.68 0.83 2.41
+    2.64 1.15 1.67 1.90 2.25 0.70 1.06 2.27 1.83 2.73 1.51 1.40 1.13 0.92 2.06
+    1.01 2.63 1.03 2.12 1.83 2.00 2.72 0.76 0.70 0.63 0.51 1.74 0.75 2.48 0.36
+    1.31 1.58 0.88 1.26 0.90 1.06 2.80 1.43 1.34 1.95 2.09 2.08 0.53 1.87 2.29
+    2.45 1.89 0.65 0.53 1.17 2.80 1.58 2.72 1.54 2.34 1.61 2.21 1.16 2.70 1.02
+    0.32 2.25 2.13 2.07 2.16 1.88 0.61 2.11 0.32 0.79 1.44 1.32 0.62 1.45 1.98
+    1.32 2.21 0.92 0.69 2.32 2.11 1.46 0.67 2.09 2.32 0.74 2.16 1.26 2.77 2.33
+    1.04 2.83 0.37 0.80 0.95 2.28 1.72 1.55 0.90 2.34 0.62 0.97 2.48 1.52 2.67
+    1.92 2.43 0.81 1.15 1.32 1.63 1.58 2.52 0.77 2.60 2.70 0.50 0.33 1.09 1.38
+    2.92 0.49 2.41 1.58 0.65 1.29 1.33 0.96 1.09 1.43 2.90 1.54 2.87 0.38 0.48
+    0.38 2.10 0.89 1.86 2.45 1.20 0.96 2.26 1.58 0.70 0.54 2.29 2.62 2.70 1.68
+    0.71 0.91 1.52 2.60 2.06 1.04 2.34 1.48 2.95 1.46 2.56 0.34 2.24 1.38 1.65
+    0.84 2.81 0.84 1.82 1.91 2.62 1.56 2.54 1.71 2.88 2.23 2.76 2.84 2.47 0.63
+    0.64 1.96 1.03 1.34 0.77 2.36 2.61 0.66 1.70 1.37 2.43 1.56 2.27 1.83 2.94
+    1.43 2.97 1.42 0.79 2.41 1.03 1.83 2.04 0.84 0.39 2.96 2.51 0.63 2.59 1.00
+    0.97 2.39 2.34 2.58 0.67 2.32 1.57 1.18 2.28 2.58 1.17 0.72 2.98 2.78 1.08
+    2.50 0.54 2.76 2.39 0.83 1.10 1.91 1.26 2.29 1.90 0.86 1.95 0.34 0.60 0.74
+    1.25 0.33 2.81 0.95 1.03 1.31 2.84 1.25 1.46 1.11 2.94 1.29 0.53 2.08 2.23
+    1.31 0.87 1.40 1.49 2.99 2.62 1.98 0.82 2.16 2.35 0.50 1.32 1.18 1.84 2.06
+    0.79 1.57 2.98 0.34 1.30 1.20 1.40 2.65 1.48 2.68 1.85 1.45 0.98 2.52 2.04
+    0.87 0.65 0.64 2.75 1.39 2.51 2.72 0.91 0.39 0.79 2.39 0.34 1.82 0.82 2.37
+    1.59 1.78 1.09 1.53 0.42 2.49 2.75 2.33 1.64 2.58 0.31 2.10 2.37 1.18 2.61
+    0.30 2.01 1.11 2.00 0.98 0.87 1.99 1.64 0.81 2.69 2.68 1.78 2.21 1.52 2.46
+    2.55 2.36 0.96 0.37 2.08 1.41 2.71 2.62 1.74 1.32 2.23 2.22 2.14 2.57 1.86
+    1.69 1.70 2.70 1.29 2.57 1.66 0.53 1.51 1.09 1.73 2.60 0.78 1.58 1.87 2.38
+"""
+
+
+def test_30x30_ces_certifies_at_the_start_point():
+    # the polish of the search's start point certifies it in 12 iterations
+    # (.03 s); a 100-iteration search and its polish take 110 (.35 s)
+    w = np.array(WEIGHTS_30X30.split(), dtype=float).reshape(30, 30)
+    res = solve_ces(Instance(tuple(CesForm(row, 0.5, 1.0) for row in w), 0.5))
+    assert res.max_kkt_residual <= 1e-8
+    assert res.iterations < 100
+
+
 @pytest.mark.parametrize(
     "n, rho, sigma, max_iters",
     [(8, 0.5, 0.5, 100_000), (12, 0.5, 0.5, 100_000), (20, 0.5, 0.5, 100_000)]
@@ -358,22 +476,38 @@ def test_strictly_concave_markets_take_no_dense_step(n, rho, sigma, max_iters, l
     assert lstsq_calls == []
 
 
-def test_fall_through_matches_full_search():
-    # the attempts at 100, 400 and 1600 fail and the search stalls at 6000,
-    # so the solve ends with the full-budget search and polish (6003
-    # iterations); the weights are default_rng(36).uniform(0.3, 3.0, (3, 4))
+def _record_attempts(monkeypatch):
+    """Patch the search to log each attempt's (budget, iterations searched)."""
+    attempts = []
+    search = solver._ellipsoid_phase
+
+    def logged(stack, A, e, tolerance, budget):
+        X, iters = search(stack, A, e, tolerance, budget)
+        attempts.append((budget, iters))
+        return X, iters
+
+    monkeypatch.setattr(solver, "_ellipsoid_phase", logged)
+    return attempts
+
+
+def test_fall_through_matches_full_search(monkeypatch):
+    # the attempts at 1 (the start point), 100, 400 and 1600 fail and the
+    # search stalls at 5396 of 6400, so the solve ends with the full-budget
+    # search and polish; the weights are default_rng(94).uniform(0.3, 3.0, (3, 4))
     weights = [
-        [0.7877093463052576, 1.3752392539863048, 2.7133474896386702, 1.3891422202896004],
-        [2.1441124821755233, 1.6799184710767057, 1.7456516933222237, 2.663457033414785],
-        [0.964340250453005, 0.6837976241012923, 1.187276525215669, 1.4029362099255618],
+        [0.9471114989882476, 2.4294712209441713, 2.2495202874037576, 0.4236005884434136],
+        [1.1895337099438013, 1.0077059197148908, 1.8235384727696557, 2.6943953606043487],
+        [1.1250289616900708, 2.9247056633224715, 1.6464154958521817, 2.482220339991037],
     ]
     sigmas = [0.8, 1.0, 1.0]
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 0.25)
+    attempts = _record_attempts(monkeypatch)
     res = solve_ces(inst)
+    assert attempts == [(1, 1), (100, 100), (400, 400), (1600, 1600), (6400, 5396)]
     X, q, _ = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 100_000)
     assert np.array_equal(res.allocation, X)
     assert np.array_equal(res.multipliers, q)
-    assert res.iterations > 6155    # every attempt's iterations count
+    assert res.iterations > 7497    # every attempt's iterations count
 
 
 def test_search_stops_silently_when_the_ellipsoid_overflows():
@@ -392,16 +526,18 @@ def test_search_stops_silently_when_the_ellipsoid_overflows():
     assert np.all(np.isfinite(X)) and np.all(X.sum(axis=0) <= 1.0 + 1e-9)
 
 
-def test_budget_below_first_attempt_is_one_search():
+def test_budget_below_first_attempt_is_start_point_then_full_search(monkeypatch):
+    # the start point's polish fails here, and the next budget, 100, is cut
+    # to max_iters, so the second attempt is the one full search and polish
     rng = np.random.default_rng(0)
     inst = Instance(tuple(Linear(w) for w in rng.uniform(0.3, 3.0, (3, 3))), 0.5)
-    X, q, _ = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 50)
-    try:
-        res = solve_ces(inst, max_iters=50)
-    except DidNotConverge as err:
-        res = err.result
+    X, q, polished = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 50)
+    attempts = _record_attempts(monkeypatch)
+    res = solve_ces(inst, max_iters=50)
+    assert attempts == [(1, 1), (50, 50)]
     assert np.array_equal(res.allocation, X)
     assert np.array_equal(res.multipliers, q)
+    assert res.iterations > 1 + 50 + polished    # the start point's polish counts
 
 
 # Agent 1 keeps its valued goods on the support and agent 3 has a coordinate
