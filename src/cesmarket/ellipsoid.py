@@ -3,7 +3,9 @@
 Generic engine used by both solvers: minimize a convex function over
 {z >= 0, A^T z <= 1} for a nonnegative (d, m) packing matrix A, given a
 value-and-subgradient callback.  The start, the starting ball and the stall
-window all follow from A.  Deterministic: no randomness anywhere.
+window all follow from A: a run ends 50 d iterations after its last
+improvement, whether those iterations cut on the objective or on a
+constraint.  Deterministic: no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ def _violated_cut(A, z):
 def ellipsoid_minimize(objective, A, *, tolerance: float, max_iters: int):
     """Minimize objective over {z >= 0, A^T z <= 1}.
 
-    objective(z) -> (f, g): f is the tracking value (may be a large
-        surrogate for points the caller refuses to rank), g a (sub)gradient
-        used as the cut direction.
+    objective(z) -> (f, g): f is the tracking value (+inf never becomes the
+        best point), g a (sub)gradient used as the cut direction.
     A: (d, m) nonnegative, every row with a positive entry, so that z_k is
         bounded by cap_k = min_j 1 / A_kj.
 
@@ -43,10 +44,8 @@ def ellipsoid_minimize(objective, A, *, tolerance: float, max_iters: int):
     negative coordinate (-e_k) or else its first violated column (A[:, j]).
 
     Stops when max_iters is hit, when the best feasible tracking value has
-    not improved by at least `tolerance` over 50 * d consecutive feasible
-    evaluations (infeasible centers do not age the window; long corridors
-    of feasibility cuts would otherwise end runs early), or when the
-    ellipsoid degenerates numerically.
+    not improved by at least `tolerance` for 50 * d iterations, feasibility
+    cuts included, or when the ellipsoid degenerates numerically.
 
     Returns (best_z, best_f, iterations); best_z is the start until a
     feasible center beats it.
@@ -60,21 +59,19 @@ def ellipsoid_minimize(objective, A, *, tolerance: float, max_iters: int):
     best_x = c.copy()
     best_f = np.inf
     last_progress = 0
-    feasible_evals = 0
     k = 0
     while k < max_iters:
         k += 1
         g = _violated_cut(A, c)
         if g is None:
-            feasible_evals += 1
             f, g = objective(c)
             if f < best_f:
                 if best_f - f >= tolerance:
-                    last_progress = feasible_evals
+                    last_progress = k
                 best_f = f
                 best_x = c.copy()
-            if feasible_evals - last_progress >= stall_window:
-                break
+        if k - last_progress >= stall_window:
+            break
         # long runs can overflow P; once it is not finite, gPg is not
         # either and the run stops as degenerate, without a warning
         with np.errstate(over="ignore", invalid="ignore"):

@@ -27,10 +27,9 @@ concave, so a certified point is a global optimum however it was found:
 the one-iteration first attempt polishes the search's start point, and
 the search runs only as long as the polish needs.  _solve_smooth also
 solves the mixed-degree witness of demos.py, a stack that no Instance
-admits: the search's cuts take the first agent's degree, but the refine
-and the residual read each agent's, so the point it returns is a
-certified optimum.  Every first-order check goes
-through one kernel, _scaled_marginals: a point is supported by the convex
+admits: the search, the refine and the residual all read each agent's
+own degree from the stack.  Every first-order check goes through one
+kernel, _scaled_marginals: a point is supported by the convex
 price rule exactly when each held variable's scaled marginal
 v_i**(e-1) * dv_i/dz equals its price (A q) and each unheld one is at most
 its price.  Its derivative, _marginal_jacobian, is block diagonal by
@@ -83,10 +82,6 @@ from .welfare import (
     scaled_gradient,
 )
 
-# Values below this are answered with a surrogate objective inside solver
-# iterations; certification never sees floored values.
-VALUE_FLOOR = 1e-12
-_SURROGATE = 1e30
 # Gradients queried by the solver are evaluated at bundles floored here, so
 # divergent boundary partials stay finite during the search.
 _GRAD_POINT_FLOOR = 1e-9
@@ -141,7 +136,7 @@ class Instance:
 
     @property
     def degree(self) -> float:
-        return self.valuations[0].degree
+        return float(self._stack.degrees[0])
 
     @cached_property
     def _stack(self) -> ValuationStack:
@@ -343,27 +338,27 @@ def _ellipsoid_phase(stack, A, e, tolerance, max_iters):
 
     Searches the stack's (n, k) variables, flattened, over the packing
     polytope of the (n k, m) matrix A.  The best iterate is tracked with
-    true values, answered with a surrogate near zero values.  Cuts come
-    from the objective's ascent gradient, built from valuation gradients
-    alone: the bundles are floored at a tiny interior point first, so
-    boundary singularities stay finite, and the values come from the
-    gradients through homogeneity (welfare.implied_scaled_gradient).
+    the program's own values; on the log program a zero value gives
+    +inf, which never becomes the best point.  Cuts come from the
+    objective's ascent gradient, built from valuation gradients alone:
+    the bundles are floored at a tiny interior point first, so boundary
+    singularities stay finite, and the values come from the gradients
+    through homogeneity, each agent at its own degree
+    (welfare.implied_scaled_gradient).
     """
     n, k = stack.n, stack.m
-    r = stack.valuations[0].degree
 
     def objective(z):
         X = np.maximum(z.reshape(n, k), 0.0)
         V = stack.values(X)
-        if e < 1.0 and V.min() < VALUE_FLOOR:
-            f = _SURROGATE
-        elif e == 0.0:
-            f = -float(np.log(V).sum())
+        if e == 0.0:
+            with np.errstate(divide="ignore"):
+                f = -float(np.log(V).sum())
         else:
             f = -float((V**e).sum() / e)
         Xe = np.maximum(X, _GRAD_POINT_FLOOR)
         G, _ = stack.partials(Xe)
-        g = -implied_scaled_gradient(G, Xe, r, e)[1]
+        g = -implied_scaled_gradient(G, Xe, stack.degrees, e)[1]
         return f, g.ravel()
 
     best, _, iters = ellipsoid_minimize(

@@ -116,11 +116,12 @@ def scaled_gradient(grads, values, e, weights=None):
 
 
 def implied_scaled_gradient(grads, X, r, e, weights=None):
-    """(v, scaled_gradient(grads, v, e, weights)) with v_i = x_i . grads_i / r.
+    """(v, scaled_gradient(grads, v, e, weights)) with v_i = x_i . grads_i / r_i.
 
-    The homogeneity identity rebuilds each degree-r value from its own
+    The homogeneity identity rebuilds each degree-r_i value from its own
     gradient, so first-order queries alone give the objective's gradient.
-    No validation, as in scaled_gradient.
+    r is one degree shared by every agent or an (n,) array, one degree per
+    agent.  No validation, as in scaled_gradient.
     """
     implied = (X * grads).sum(axis=1) / r
     return implied, scaled_gradient(grads, implied, e, weights)

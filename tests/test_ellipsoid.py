@@ -1,5 +1,7 @@
 """Ellipsoid engine checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,8 @@ def test_ellipsoid_one_dimension_bisects():
 
 
 def test_stall_window_ends_run_without_progress():
-    # the first evaluation sets the best value; the run ends once 50 more
-    # per variable bring no progress
+    # the first evaluation sets the best value; the run ends 50 iterations
+    # per variable later, the 4 feasibility cuts among them included
     calls = {"n": 0}
     t = np.array([0.3, 0.1])
 
@@ -56,8 +58,29 @@ def test_stall_window_ends_run_without_progress():
         objective, np.ones((2, 1)), tolerance=1e-9, max_iters=100_000
     )
     assert best_f == 1.0
-    assert calls["n"] == 1 + 50 * 2
+    assert iters == 1 + 50 * 2
+    assert calls["n"] == 97
+
+
+def test_run_ends_when_the_ellipsoid_overflows():
+    # every evaluation improves, so the stall window never ends the run; the
+    # cuts along e_0 and -e_0 squeeze one axis and stretch the other two
+    # until the matrix leaves the float range (after 6018 iterations)
+    A = np.ones((3, 1))
+    calls = {"n": 0}
+
+    def objective(z):
+        calls["n"] += 1
+        return -float(calls["n"]), np.array([1.0, 0.0, 0.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best_x, best_f, iters = ellipsoid_minimize(
+            objective, A, tolerance=1e-9, max_iters=100_000
+        )
     assert iters < 100_000
+    assert best_f == -calls["n"]
+    assert np.all(best_x >= -1e-12) and np.all(A.T @ best_x <= 1.0 + 1e-12)
 
 
 def test_start_is_feasible_when_users_overload_a_good():

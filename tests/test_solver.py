@@ -50,6 +50,7 @@ from cesmarket.solver import (
     kkt_residual,
 )
 from cesmarket.valuations import ValuationStack
+from cesmarket.welfare import scaled_gradient
 
 from conftest import random_instance, water_instance
 
@@ -296,6 +297,9 @@ def test_solve_linear_market_from_rough_search():
     assert res.max_kkt_residual <= 1e-8
 
 
+STILL_FAILS = pytest.mark.xfail(strict=True, raises=DidNotConverge)
+
+
 @pytest.mark.parametrize(
     "weights, sigmas",
     [
@@ -346,9 +350,72 @@ def test_solve_linear_market_from_rough_search():
             ],
             [1.0] * 2,
         ),
+        # draws 30, 57, 82, 98, 254, 296 and 386 of the same loop still
+        # raise DidNotConverge at max_iters=1000; the mark is strict, so a
+        # change that mends one must move it above this line
+        pytest.param(
+            [
+                [1.704649876211313, 1.3355050619917368, 1.6766948070356968, 2.539090111336255],
+                [0.47312210570546487, 0.8738314920148711, 2.6428030051120897, 1.6313158458376795],
+            ],
+            [1.0, 1.0],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [0.38006050770435545, 2.038185796577524, 0.47563358635591735, 0.3288137987098738],
+                [2.579878037654227, 1.128369067035729, 2.3173246824299945, 1.7304944911682132],
+                [2.0274033252343453, 2.926464323293502, 1.5818760936205276, 2.6036361002338917],
+            ],
+            [1.0, 1.0, 1.0],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [1.3783081387860663, 1.0722060431780607, 1.8595689975808165, 2.0585821615857034],
+                [1.8813736467533204, 1.4838814517688643, 1.103572784024062, 2.258062264910736],
+            ],
+            [1.0, 1.0],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [2.947031605531381, 2.8237061773657586, 0.5299426424306006, 1.9292426263779923],
+                [2.3366177819623717, 0.4205431391833468, 2.079910641020296, 1.949052854891404],
+                [1.3078898051496015, 0.6391894602262638, 2.151865793231957, 0.42949280110617183],
+            ],
+            [1.0, 0.8, 0.5],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [0.38383916446209554, 1.5032658275909678, 2.0782092174544653, 2.5778556651271556],
+                [2.225052034845122, 2.1994828360236625, 1.495196917661957, 1.5452593204694915],
+            ],
+            [1.0, 1.0],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [1.248084009276098, 1.7575638907069415, 2.4763038924416887],
+                [1.536902426453392, 0.3851923917842476, 1.444461083372965],
+                [1.8675371741846762, 2.526891474195657, 2.285221038807101],
+            ],
+            [1.0, 0.8, 1.0],
+            marks=STILL_FAILS,
+        ),
+        pytest.param(
+            [
+                [1.799964945983727, 2.427517945114868, 2.2245907023406892, 2.6116858963271667],
+                [0.4307416921459986, 2.76022730518084, 0.9293870194272846, 1.3777479912996309],
+            ],
+            [1.0, 1.0],
+            marks=STILL_FAILS,
+        ),
     ],
     ids=["agent-left-empty", "step-onto-boundary"]
-    + [f"rho1-draw-{k}" for k in (15, 80, 116, 282, 328)],
+    + [f"rho1-draw-{k}" for k in (15, 80, 116, 282, 328)]
+    + [f"rho1-draw-{k}-still-fails" for k in (30, 57, 82, 98, 254, 296, 386)],
 )
 def test_solve_rho_one_ces_from_rough_search(weights, sigmas):
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 1.0)
@@ -492,7 +559,7 @@ def _record_attempts(monkeypatch):
 
 def test_fall_through_matches_full_search(monkeypatch):
     # the attempts at 1 (the start point), 100, 400 and 1600 fail and the
-    # search stalls at 5396 of 6400, so the solve ends with the full-budget
+    # search stalls at 4184 of 6400, so the solve ends with the full-budget
     # search and polish; the weights are default_rng(94).uniform(0.3, 3.0, (3, 4))
     weights = [
         [0.9471114989882476, 2.4294712209441713, 2.2495202874037576, 0.4236005884434136],
@@ -503,16 +570,19 @@ def test_fall_through_matches_full_search(monkeypatch):
     inst = Instance(tuple(CesForm(w, s, 1.0) for w, s in zip(weights, sigmas)), 0.25)
     attempts = _record_attempts(monkeypatch)
     res = solve_ces(inst)
-    assert attempts == [(1, 1), (100, 100), (400, 400), (1600, 1600), (6400, 5396)]
+    assert attempts == [(1, 1), (100, 100), (400, 400), (1600, 1600), (6400, 4184)]
     X, q, _ = _full_search_then_refine(ValuationStack(inst.valuations), inst.rho, 100_000)
     assert np.array_equal(res.allocation, X)
     assert np.array_equal(res.multipliers, q)
-    assert res.iterations > 7497    # every attempt's iterations count
+    assert res.iterations > 6285    # every attempt's iterations count
 
 
-def test_search_stops_silently_when_the_ellipsoid_overflows():
-    # about 50000 cuts grow the ellipsoid's matrix past the float range;
-    # solve_ces certifies this market from an early attempt and never gets here
+def test_search_stalls_through_feasibility_cuts():
+    # the centres keep leaving the polytope, and the stall window counts
+    # those iterations too, so the run stalls after 2261 iterations; when
+    # only feasible centres aged the window, about 50000 cuts grew the
+    # ellipsoid's matrix past the float range first.  solve_ces certifies
+    # this market from an early attempt and never gets here
     weights = [
         [1.0655156731292452, 2.2924934933397583, 1.0388266656148417, 2.794322342230959],
         [0.6295434202204526, 1.4249982945663122, 2.2191240509073378, 2.935606411152862],
@@ -522,8 +592,49 @@ def test_search_stops_silently_when_the_ellipsoid_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         X, iters = _ellipsoid_phase(stack, A, 0.25, 1e-8, 100_000)
-    assert 40_000 < iters < 100_000
+    assert iters < 5000
     assert np.all(np.isfinite(X)) and np.all(X.sum(axis=0) <= 1.0 + 1e-9)
+
+
+def _search_objective(monkeypatch, stack, e):
+    """The objective _ellipsoid_phase hands the ellipsoid engine."""
+    seen = []
+
+    def capture(objective, A, *, tolerance, max_iters):
+        seen.append(objective)
+        return np.zeros(A.shape[0]), np.inf, 0
+
+    monkeypatch.setattr(solver, "ellipsoid_minimize", capture)
+    _ellipsoid_phase(stack, _supply_rows(stack.n, stack.m), e, 1e-8, 1)
+    return seen[0]
+
+
+def test_search_cuts_at_each_agents_own_degree(monkeypatch):
+    # the mixed-degree witness: the cut is the program's own descent
+    # direction, with each agent's value rebuilt at its own degree; at the
+    # first agent's degree 1, the degree-1/2 agent's value read half its
+    # own and the cut was 41% off
+    stack = ValuationStack((Linear([1.0]), Power(math.sqrt(2.0), 0.5)))
+    objective = _search_objective(monkeypatch, stack, 0.5)
+    z = np.array([0.7, 0.2])
+    _, g = objective(z)
+    Xe = np.maximum(z.reshape(2, 1), solver._GRAD_POINT_FLOOR)
+    G, _ = stack.partials(Xe)
+    expected = -scaled_gradient(G, stack.values(Xe), 0.5)
+    np.testing.assert_allclose(g, expected.ravel(), rtol=1e-14)
+
+
+def test_log_search_ranks_a_zero_value_point_last(monkeypatch):
+    # e = 0: a Cobb-Douglas agent holding none of one good has value 0, so
+    # the program's objective is +inf there, silently, and the point never
+    # becomes the search's best; a surrogate of 1e30 once stood in for it
+    stack = ValuationStack((CobbDouglas([0.5, 0.5]), Linear([1.0, 2.0])))
+    objective = _search_objective(monkeypatch, stack, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, g = objective(np.array([0.5, 0.0, 0.5, 0.5]))
+    assert f == np.inf
+    assert np.all(np.isfinite(g))
 
 
 def test_budget_below_first_attempt_is_start_point_then_full_search(monkeypatch):
